@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -118,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="surface-code resources from logical counts")
     p.add_argument("--from-logical", help="LogicalEstimate JSON file")
     p.add_argument("--qubits", type=int, help="logical qubit count")
-    p.add_argument("--tcount", type=float, help="logical T count")
+    p.add_argument("--tcount", help="logical T count: an integer, or an "
+                   "integral float literal such as 1.17e14")
     p.add_argument("--preset", default="qubit_gate_ns_e4")
     p.add_argument("--budget", type=float)
     p.set_defaults(func=_cmd_estimate_physical)
@@ -209,12 +211,27 @@ def _cmd_estimate_physical(args):
             logical = LogicalEstimate.from_json_dict(json.load(handle))
         qubits, t_count = logical.n_logical_qubits, logical.t_count
     elif args.qubits is not None and args.tcount is not None:
-        qubits, t_count = args.qubits, int(args.tcount)
+        qubits, t_count = args.qubits, _exact_count(args.tcount)
     else:
         raise ValidationError(
             "provide --from-logical FILE or both --qubits and --tcount")
     est = estimate_physical(qubits, t_count, qp, code, config)
     print(est.dumps())
+
+
+def _exact_count(text: str) -> int:
+    """An integer literal, or a finite float literal with an integral value."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # also false for nan and infinities
+        raise ValidationError(f"--tcount must be an integer, got {text!r}")
+    return int(value)
 
 
 def _cmd_reproduce_table(args):

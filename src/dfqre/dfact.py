@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 from .ingest import IntegralSet
 
 # Relative cutoff below which an eigenvalue counts as numerically zero.
@@ -92,6 +92,11 @@ class DFDecomposition:
             raise ValidationError("h_bar is not symmetric within 1e-12")
         if len(self.leaves) > self.n_orb * (self.n_orb + 1) // 2:
             raise ValidationError("more leaves than pair-matrix dimension")
+        for leaf in self.leaves:
+            if leaf.n_eigs and leaf.vecs.shape[1:] != (self.n_orb,):
+                raise ValidationError(
+                    f"leaf {leaf.index} vectors have shape {leaf.vecs.shape}, "
+                    f"not ({leaf.n_eigs}, {self.n_orb})")
 
     @property
     def n_leaves(self) -> int:
@@ -144,7 +149,17 @@ class DFDecomposition:
 
     @classmethod
     def loads(cls, text: str) -> "DFDecomposition":
-        return cls.from_json_dict(json.loads(text))
+        """Decode ``dumps`` output; ParseError if it is not such a document."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno) from None
+        try:
+            return cls.from_json_dict(data)
+        except KeyError as exc:
+            raise ParseError(f"decomposition JSON lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"malformed decomposition JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +216,7 @@ def _truncate_by_magnitude(eigvals: np.ndarray, tol: float
     top = magnitudes.max(initial=0.0)
     order = np.argsort(-magnitudes, kind="stable")
     live = order[magnitudes[order] > ZERO_EIG_RTOL * top] if top > 0 else order[:0]
-    discarded = float(magnitudes.sum() - magnitudes[live].sum())
+    discarded = float(magnitudes[order[len(live):]].sum())
 
     if tol > 0 and len(live):
         tail = magnitudes[live][::-1]

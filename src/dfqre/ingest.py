@@ -18,11 +18,23 @@ Integral file::
     <value> 0 0 0 0    core energy
 
 Only one canonical representative per 8-fold symmetry class is required;
-all permutational images are filled in on read.
+all permutational images are filled in on read. Repeated records must agree
+within ``DUPLICATE_TOL``: an h1 or h2 record is compared with the first
+record of its class, which supplies the value, and a core energy with the
+latest one before it, the last one supplying the value.
+
+A bad file raises the ParseError of its first offending line in file
+order, with that line's number. On one line the checks run as listed:
+field count, number syntax, finiteness, index bounds or mixed zero/nonzero
+indices, then the duplicate rule ("previous at line N"). Records are read
+in blocks of lines into flat arrays, so memory grows with the record count
+rather than with Python objects per token.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +51,14 @@ ELEMENTS = (
 _ELEMENT_LOOKUP = {sym.lower(): sym for sym in ELEMENTS}
 
 DUPLICATE_TOL = 1e-10
+
+# Integral-file lines read and tokenized at a time: bounds the Python
+# strings alive at once, so memory grows with the record count only.
+_BLOCK_LINES = 8192
+# Line breaks of str.splitlines() besides "\n"; folded into "\n" so that
+# reported line numbers count every break it counts.
+_LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029")
 
 
 def normalize_element(symbol: str) -> str:
@@ -200,85 +220,143 @@ def canonical_h2_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, i
 
 
 def parse_integrals(text: str) -> IntegralSet:
-    """Parse an integral file into a fully symmetry-expanded IntegralSet."""
-    n_orb = None
-    core: tuple[float, int] | None = None  # (value, line)
-    h1_entries: dict[tuple[int, int], tuple[float, int]] = {}
-    h2_entries: dict[tuple[int, int, int, int], tuple[float, int]] = {}
+    """Parse an integral file into a fully symmetry-expanded IntegralSet.
 
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n_orb is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0].upper() != "NORB":
-                raise ParseError("missing 'NORB <n>' header", line=no)
-            try:
-                n_orb = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad orbital count {parts[1]!r}", line=no) from None
-            if n_orb < 1:
-                raise ParseError("orbital count must be positive", line=no)
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ParseError(f"expected 'value i j k l', got {line!r}", line=no)
-        try:
-            value = float(parts[0])
-            i, j, k, l = (int(p) for p in parts[1:])
-        except ValueError:
-            raise ParseError(f"malformed record {line!r}", line=no) from None
-        if not math.isfinite(value):
-            raise ParseError("non-finite integral value", line=no)
+    Lines are tokenized in blocks of ``_BLOCK_LINES``; the checks and the
+    symmetry expansion run on whole arrays (contract: module docstring).
+    """
+    for sep in _LINE_BREAKS:
+        text = text.replace(sep, "\n")
+    stream = io.StringIO(text)
+    n_orb, no = _read_header(stream)
+    size = text.count("\n") + 1 - no  # at least the record count
+    values, lines = np.empty(size), np.empty(size, dtype=np.int64)
+    indices = np.empty((4, size), dtype=np.int64)
+    count, error = 0, None
+    for block in iter(lambda: list(itertools.islice(stream, _BLOCK_LINES)), []):
+        vals, idx, nos, error = _read_block(block, no + 1, n_orb)
+        end = count + len(vals)
+        values[count:end], indices[:, count:end], lines[count:end] = vals, idx, nos
+        count, no = end, no + len(block)
+        if error is not None:
+            break
+    del stream
+    values, indices, lines = values[:count], indices[:, :count], lines[:count]
 
-        if (i, j, k, l) == (0, 0, 0, 0):
-            if core is not None and abs(core[0] - value) > DUPLICATE_TOL:
-                raise ParseError(
-                    f"conflicting core energy (previous at line {core[1]})", line=no)
-            core = (value, no)
-        elif k == 0 and l == 0:
-            _check_bounds((i, j), n_orb, no)
-            key = canonical_pair_index(i, j)
-            prev = h1_entries.get(key)
-            if prev is not None and abs(prev[0] - value) > DUPLICATE_TOL:
-                raise ParseError(
-                    f"conflicting h1 record for {key} (previous at line {prev[1]})",
-                    line=no)
-            h1_entries.setdefault(key, (value, no))
-        elif 0 in (i, j, k, l):
-            raise ParseError(f"mixed zero/nonzero indices in {line!r}", line=no)
-        else:
-            _check_bounds((i, j, k, l), n_orb, no)
-            key = canonical_h2_index(i, j, k, l)
-            prev = h2_entries.get(key)
-            if prev is not None and abs(prev[0] - value) > DUPLICATE_TOL:
-                raise ParseError(
-                    f"conflicting h2 record for {key} (previous at line {prev[1]})",
-                    line=no)
-            h2_entries.setdefault(key, (value, no))
+    # Pair numbers p of (ij) and q of (kl): 1-based in lexicographic order,
+    # 0 for (0, 0). The key max(p, q)*(P+1) + min(p, q) is 0 for the core
+    # energy and unique per h1 pair and per h2 symmetry class.
+    ik, jl = indices[::2], indices[1::2]
+    hi, lo = np.maximum(ik, jl), np.minimum(ik, jl)
+    pairs = hi * (hi - 1) // 2 + lo
+    keys = pairs.max(axis=0) * (n_orb * (n_orb + 1) // 2 + 1) + pairs.min(axis=0)
+    del hi, lo, pairs  # each temporary goes before the next comes
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.diff(keys, prepend=-1) != 0
+    # A record is checked against its class's first record, a core energy
+    # against the latest one. A clash comes before ``error``'s line.
+    prev = order[np.maximum.accumulate(np.where(starts, np.arange(count), 0))]
+    prev = np.where(keys == 0, np.r_[order[:1], order[:-1]], prev)
+    clash = np.abs(values[order] - values[prev]) > DUPLICATE_TOL
+    if clash.any():
+        at = np.argmin(order[clash])
+        row, before = order[clash][at], prev[clash][at]
+        i, j, k, l = indices[:, row].tolist()
+        what = (f"h2 record for {canonical_h2_index(i, j, k, l)}" if k else
+                f"h1 record for {canonical_pair_index(i, j)}" if i else "core energy")
+        raise ParseError(f"conflicting {what} (previous at line {lines[before]})",
+                         line=int(lines[row]))
+    if error is not None:
+        raise error
 
-    if n_orb is None:
-        raise ParseError("missing 'NORB <n>' header", line=1)
-
+    core, firsts = order[keys == 0], order[starts & (keys > 0)]
+    del order, keys, starts, prev, clash
+    (a, b, c, d), v = indices[:, firsts] - 1, values[firsts]
+    one, two = c < 0, c >= 0
     h1 = np.zeros((n_orb, n_orb))
-    for (i, j), (value, _) in h1_entries.items():
-        h1[i - 1, j - 1] = value
-        h1[j - 1, i - 1] = value
+    h1[a[one], b[one]] = h1[b[one], a[one]] = v[one]
+    a, b, c, d, v = a[two], b[two], c[two], d[two], v[two]
     h2 = np.zeros((n_orb, n_orb, n_orb, n_orb))
-    for (i, j, k, l), (value, _) in h2_entries.items():
-        a, b, c, d = i - 1, j - 1, k - 1, l - 1
-        for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                           (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
-            h2[p, q, r, s] = value
-    return IntegralSet(n_orb=n_orb, core_energy=core[0] if core else 0.0,
+    for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+                       (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
+        h2[p, q, r, s] = v
+    return IntegralSet(n_orb=n_orb, core_energy=values[core[-1]] if len(core) else 0.0,
                        h1=h1, h2=h2)
 
 
-def _check_bounds(indices, n_orb: int, line: int):
-    for idx in indices:
-        if not 1 <= idx <= n_orb:
-            raise ParseError(f"orbital index {idx} outside [1, {n_orb}]", line=line)
+def _read_header(stream) -> tuple[int, int]:
+    """The orbital count from the first content line, and that line's number."""
+    contents = ((no, raw.split("#", 1)[0]) for no, raw in enumerate(stream, start=1))
+    no, line = next(((no, line) for no, line in contents if line.strip()), (1, ""))
+    parts = line.split()
+    if len(parts) != 2 or parts[0].upper() != "NORB":
+        raise ParseError("missing 'NORB <n>' header", line=no)
+    try:
+        n_orb = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad orbital count {parts[1]!r}", line=no) from None
+    if n_orb < 1:
+        raise ParseError("orbital count must be positive", line=no)
+    return n_orb, no
+
+
+def _read_block(block: list[str], first_no: int, n_orb: int):
+    """Values, (4, n) indices and line numbers of a block's records before
+    its first line that fails a per-line check, and that line's error."""
+    fields = [raw.split("#", 1)[0].split() for raw in block]
+    widths = np.fromiter(map(len, fields), np.intp, len(fields))
+    keep = np.flatnonzero(widths)
+    try:
+        if (widths[keep] == 5).all():
+            values, indices = _convert([fields[pos] for pos in keep.tolist()])
+            zero, outside = indices == 0, (indices < 1) | (indices > n_orb)
+            h1 = zero[2] & zero[3] & ~(zero[0] & zero[1])
+            h2 = ~(zero[2] & zero[3])  # a zero index is outside too: mixed zero
+            if not (~np.isfinite(values) | h2 & outside.any(axis=0)
+                    | h1 & (outside[0] | outside[1])).any():
+                return values, indices, keep + first_no, None
+    except (ValueError, OverflowError):  # malformed, or an index past int64
+        pass
+    # Error path: re-scan this block line by line for its first bad record.
+    errors = (_line_error(block[pos], first_no + pos, n_orb) for pos in keep.tolist())
+    stop, error = next(((n, e) for n, e in enumerate(errors) if e), (len(keep), None))
+    keep = keep[:stop]
+    return *_convert([fields[pos] for pos in keep.tolist()]), keep + first_no, error
+
+
+def _convert(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Value and (4, n) index arrays of five-field records. Fields are
+    picked by map(list.__getitem__), with no token list built per block."""
+    def field(k):
+        return map(list.__getitem__, rows, itertools.repeat(k))
+    values = np.fromiter(map(float, field(0)), float, len(rows))
+    tokens = itertools.chain.from_iterable(field(slice(1, 5)))
+    indices = np.fromiter(map(int, tokens), np.int64, 4 * len(rows))
+    return values, indices.reshape(-1, 4).T
+
+
+def _line_error(raw: str, no: int, n_orb: int) -> ParseError | None:
+    """The error of one record line, checked in the documented order."""
+    line = raw.split("#", 1)[0].strip()
+    parts = line.split()
+    if len(parts) != 5:
+        return ParseError(f"expected 'value i j k l', got {line!r}", line=no)
+    try:
+        value = float(parts[0])
+        idx = [int(p) for p in parts[1:]]
+    except ValueError:
+        return ParseError(f"malformed record {line!r}", line=no)
+    if not math.isfinite(value):
+        return ParseError("non-finite integral value", line=no)
+    if idx[2:] == [0, 0]:
+        idx = [] if idx[:2] == [0, 0] else idx[:2]  # core energy or h1
+    elif 0 in idx:
+        return ParseError(f"mixed zero/nonzero indices in {line!r}", line=no)
+    for x in idx:
+        if not 1 <= x <= n_orb:
+            return ParseError(f"orbital index {x} outside [1, {n_orb}]", line=no)
+    return None
 
 
 def serialize_integrals(integrals: IntegralSet) -> str:

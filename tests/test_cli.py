@@ -204,3 +204,52 @@ def test_repeated_runs_byte_identical(tmp_path, capsys, integral_file):
         capsys.readouterr()
         df_texts.append(path.read_text())
     assert df_texts[0] == df_texts[1]
+
+
+def test_tcount_parsed_exactly(capsys):
+    # 2**53 + 1 is the first integer a float cannot hold
+    assert main(["estimate-physical", "--qubits", "10",
+                 "--tcount", str(2**53 + 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["cycles"] == 2**53 + 1
+    assert main(["estimate-physical", "--qubits", "10",
+                 "--tcount", "1.17e14"]) == 0
+    assert json.loads(capsys.readouterr().out)["cycles"] == 117 * 10**12
+
+
+@pytest.mark.parametrize("tcount", ["nan", "inf", "-inf", "1.5", "abc", ""])
+def test_tcount_rejects_non_integers(tcount, capsys):
+    assert main(["estimate-physical", "--qubits", "10",
+                 f"--tcount={tcount}"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-input"
+
+
+def _decomposition_dict(tmp_path, integral_file, capsys):
+    df_path = tmp_path / "df.json"
+    assert main(["factorize", str(integral_file), "-o", str(df_path)]) == 0
+    capsys.readouterr()
+    return json.loads(df_path.read_text())
+
+
+@pytest.mark.parametrize("corrupt, category", [
+    (lambda d: "{not json", "parse"),
+    (lambda d: "", "parse"),
+    (lambda d: json.dumps([1, 2]), "parse"),
+    (lambda d: json.dumps({k: v for k, v in d.items() if k != "leaves"}),
+     "parse"),
+    (lambda d: json.dumps({k: v for k, v in d.items() if k != "n_orb"}),
+     "parse"),
+    (lambda d: json.dumps(dict(d, leaves=[{"index": 0}])), "parse"),
+    (lambda d: json.dumps(dict(d, leaves=[
+        dict(leaf, vecs=[row + [0.0] for row in leaf["vecs"]])
+        for leaf in d["leaves"]])), "invalid-input"),
+])
+def test_bad_decomposition_reports_category(tmp_path, integral_file, capsys,
+                                            corrupt, category):
+    path = tmp_path / "bad.json"
+    path.write_text(corrupt(_decomposition_dict(tmp_path, integral_file,
+                                                capsys)))
+    assert main(["estimate-logical", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == category

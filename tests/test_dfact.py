@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfqre.dfact import (DFDecomposition, DFLeaf, choose_tolerances,
                          factorize, lambda_norms, pack_pair_matrix,
                          qpe_energy_offset, reconstruct)
-from dfqre.errors import ValidationError
+from dfqre.errors import ParseError, ValidationError
 from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic
 
 
@@ -92,6 +96,43 @@ class TestFactorize:
             # kept leaf at most 2|c_r| * tol from its truncated spectrum
             kept_mass = sum(abs(leaf.weight) for leaf in df.leaves)
             assert two_norm <= tol + 2.0 * kept_mass * tol + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_truncation_bound_non_negative(self, n_orb, data):
+        rank = data.draw(st.integers(0, n_orb * (n_orb + 1) // 2))
+        tols = st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 1e-1, 1.0])
+        ints = make_set(n_orb, rank, seed=data.draw(st.integers(0, 2**32)))
+        df = factorize(ints, data.draw(tols), data.draw(tols))
+        assert df.truncation_bound >= 0.0
+
+    @pytest.mark.parametrize("n_orb", [2, 4, 6])
+    def test_exact_factorization_has_zero_bound(self, n_orb):
+        full = n_orb * (n_orb + 1) // 2
+        df = factorize(make_set(n_orb, full, seed=n_orb), 0, 0)
+        # nothing numerically zero was dropped at either stage
+        assert df.n_leaves == full and df.total_leaf_eigs == full * n_orb
+        assert df.truncation_bound == 0.0
+
+    def test_leaf_width_must_match_n_orb(self):
+        leaf = DFLeaf(index=0, weight=1.0, eigvals=np.array([0.5]),
+                      vecs=np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="leaf 0"):
+            DFDecomposition(n_orb=2, core_energy=0.0, h_bar=np.zeros((2, 2)),
+                            leaves=(leaf,), tol_first=0.0, tol_second=0.0)
+
+    def test_loads_errors_are_parse_errors(self):
+        good = factorize(make_set(2, 2, seed=3)).to_json_dict()
+        for text in ("{", "[]", json.dumps({"n_orb": 2}),
+                     json.dumps(dict(good, leaves=[{"index": 0}])),
+                     json.dumps(dict(good, h_bar=[[1.0], [2.0, 3.0]]))):
+            with pytest.raises(ParseError):
+                DFDecomposition.loads(text)
+
+    def test_empty_leaf_round_trip(self):
+        df = factorize(make_set(3, 4, seed=5), 0.0, 10.0)
+        assert any(leaf.n_eigs == 0 for leaf in df.leaves)
+        assert DFDecomposition.loads(df.dumps()).dumps() == df.dumps()
 
     def test_leaf_orthonormality_enforced(self):
         with pytest.raises(ValidationError):

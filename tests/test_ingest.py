@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dfqre import ingest
 from dfqre.errors import EmptyInputError, ParseError, ValidationError
-from dfqre.ingest import (IntegralSet, SyntheticSpec, gen_synthetic,
-                          parse_integrals, parse_xyz, serialize_integrals,
-                          serialize_xyz)
+from dfqre.ingest import (DUPLICATE_TOL, IntegralSet, SyntheticSpec,
+                          canonical_h2_index, canonical_pair_index,
+                          gen_synthetic, parse_integrals, parse_xyz,
+                          serialize_integrals, serialize_xyz)
 
 
 class TestParseXyz:
@@ -174,3 +180,292 @@ class TestGenSynthetic:
                                                seed=17 + rank))
             eigs = np.linalg.eigvalsh(pack_pair_matrix(ints.h2))
             assert np.count_nonzero(np.abs(eigs) > 1e-10) == rank
+
+
+# ---------------------------------------------------------------------------
+# Equivalence of the block parser with a line-by-line reference
+
+
+def reference_parse_integrals(text: str) -> IntegralSet:
+    """The line-by-line integral parser the block parser replaced, kept as
+    the oracle for its arrays and its errors."""
+    n_orb = None
+    core: tuple[float, int] | None = None  # (value, line)
+    h1_entries: dict[tuple[int, int], tuple[float, int]] = {}
+    h2_entries: dict[tuple[int, int, int, int], tuple[float, int]] = {}
+
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if n_orb is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0].upper() != "NORB":
+                raise ParseError("missing 'NORB <n>' header", line=no)
+            try:
+                n_orb = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad orbital count {parts[1]!r}", line=no) from None
+            if n_orb < 1:
+                raise ParseError("orbital count must be positive", line=no)
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ParseError(f"expected 'value i j k l', got {line!r}", line=no)
+        try:
+            value = float(parts[0])
+            i, j, k, l = (int(p) for p in parts[1:])
+        except ValueError:
+            raise ParseError(f"malformed record {line!r}", line=no) from None
+        if not math.isfinite(value):
+            raise ParseError("non-finite integral value", line=no)
+
+        if (i, j, k, l) == (0, 0, 0, 0):
+            if core is not None and abs(core[0] - value) > DUPLICATE_TOL:
+                raise ParseError(
+                    f"conflicting core energy (previous at line {core[1]})", line=no)
+            core = (value, no)
+        elif k == 0 and l == 0:
+            _reference_check_bounds((i, j), n_orb, no)
+            key = canonical_pair_index(i, j)
+            prev = h1_entries.get(key)
+            if prev is not None and abs(prev[0] - value) > DUPLICATE_TOL:
+                raise ParseError(
+                    f"conflicting h1 record for {key} (previous at line {prev[1]})",
+                    line=no)
+            h1_entries.setdefault(key, (value, no))
+        elif 0 in (i, j, k, l):
+            raise ParseError(f"mixed zero/nonzero indices in {line!r}", line=no)
+        else:
+            _reference_check_bounds((i, j, k, l), n_orb, no)
+            key = canonical_h2_index(i, j, k, l)
+            prev = h2_entries.get(key)
+            if prev is not None and abs(prev[0] - value) > DUPLICATE_TOL:
+                raise ParseError(
+                    f"conflicting h2 record for {key} (previous at line {prev[1]})",
+                    line=no)
+            h2_entries.setdefault(key, (value, no))
+
+    if n_orb is None:
+        raise ParseError("missing 'NORB <n>' header", line=1)
+
+    h1 = np.zeros((n_orb, n_orb))
+    for (i, j), (value, _) in h1_entries.items():
+        h1[i - 1, j - 1] = value
+        h1[j - 1, i - 1] = value
+    h2 = np.zeros((n_orb, n_orb, n_orb, n_orb))
+    for (i, j, k, l), (value, _) in h2_entries.items():
+        a, b, c, d = i - 1, j - 1, k - 1, l - 1
+        for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
+                           (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
+            h2[p, q, r, s] = value
+    return IntegralSet(n_orb=n_orb, core_energy=core[0] if core else 0.0,
+                       h1=h1, h2=h2)
+
+
+def _reference_check_bounds(indices, n_orb: int, line: int):
+    for idx in indices:
+        if not 1 <= idx <= n_orb:
+            raise ParseError(f"orbital index {idx} outside [1, {n_orb}]", line=line)
+
+
+def _outcome(parse, text):
+    """Arrays as bytes (so -0.0 and 0.0 differ), or the error's identity."""
+    try:
+        ints = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return (ints.n_orb, np.float64(ints.core_energy).tobytes(),
+            ints.h1.tobytes(), ints.h2.tobytes())
+
+
+def assert_same_as_reference(text):
+    expected = _outcome(reference_parse_integrals, text)
+    assert _outcome(parse_integrals, text) == expected
+    return expected
+
+
+def _images(i, j, k, l):
+    return [(i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k),
+            (k, l, i, j), (l, k, i, j), (k, l, j, i), (l, k, j, i)]
+
+
+_values = st.floats(-10, 10, allow_nan=False, width=64)
+# A within-tolerance offset: any two copies of a record stay consistent.
+_jitter = st.sampled_from([0.0, 0.0, 4e-11])
+_index_token = st.sampled_from(["{}", "{}", "{}", "+{}", "0{}"])
+_faults = st.sampled_from([
+    "0.5 1 1 1", "0.5 1 1 1 1 1", "NORB 2", "abc 1 1 1 1", "0.5 1 1.0 1 1",
+    "0.5 1 x 0 0", "nan 1 1 1 1", "inf 1 1 0 0", "-inf 0 0 0 0", "0.5 1 9 1 1",
+    "0.5 9 1 0 0", "0.5 0 1 0 0", "0.5 -1 1 1 1", "0.5 1 1 1 99999999999999999999",
+    "0.5 1 0 1 1", "0.5 0 0 1 1", "0.5 1 1 0 1", "nan 1 0 1 1", "1e999 1 1 1 1",
+    "7.5 1 1 1 1", "7.5 1 1 0 0", "7.5 0 0 0 0",
+])
+
+
+@st.composite
+def integral_texts(draw, faults: bool):
+    """Small integral files: shuffled records, consistent duplicates written
+    as random permutational images, comments, blank lines, either line
+    ending, with or without a final newline; with ``faults``, bad lines
+    (wrong width, malformed, non-finite, out of bounds, mixed zero,
+    conflicting) planted anywhere, header included."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(1, n)
+    core = [(0, 0, 0, 0)] * draw(st.integers(0, 1))
+    h1 = [canonical_pair_index(draw(index), draw(index)) + (0, 0)
+          for _ in range(draw(st.integers(0, 6)))]
+    h2 = [canonical_h2_index(*(draw(index) for _ in range(4)))
+          for _ in range(draw(st.integers(0, 12)))]
+    records = []
+    for key in dict.fromkeys(core + h1 + h2):  # one value per class
+        value = draw(_values)
+        images = set(_images(*key)) if key[2] else {key, (key[1], key[0], 0, 0)}
+        for _ in range(draw(st.integers(1, 3))):
+            image = draw(st.sampled_from(sorted(images)))
+            records.append((value + draw(_jitter), image))
+    lines = []
+    for value, idx in draw(st.permutations(records)):
+        tokens = [draw(_index_token).format(x) for x in idx]
+        lines.append(" ".join([repr(value), *tokens]))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(
+            ["", "   ", "# comment", "\t# 0.5 1 1 1 1"])))
+    for pos in draw(st.lists(st.integers(0, max(len(lines) - 1, 0)), max_size=3)):
+        if lines and not lines[pos].startswith("#"):
+            lines[pos] += draw(st.sampled_from(["  # inline", "\t", "#x 1 2"]))
+    lines.insert(0, f"NORB {n}")
+    lines[:0] = draw(st.lists(st.sampled_from(["", "# title"]), max_size=2))
+    if faults:
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_faults))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+_hypothesis = settings(max_examples=200, deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBlockParserEquivalence:
+    @_hypothesis
+    @given(integral_texts(faults=False))
+    def test_valid_files_bit_identical(self, text):
+        outcome = assert_same_as_reference(text)
+        assert outcome[0] != ParseError  # consistent duplicates parse
+
+    @_hypothesis
+    @given(integral_texts(faults=True))
+    def test_faulty_files_same_outcome(self, text):
+        assert_same_as_reference(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("NORB 2\n0.1 1 1 1\n", 2),                       # width
+        ("NORB 2\n0.1 1 1 1 1 1\n", 2),
+        ("NORB 2\nabc 1 1 1 1\n", 2),                     # malformed value
+        ("NORB 2\n0.1 1 1.0 1 1\n", 2),                   # malformed index
+        ("NORB 2\nnan 1 1 1 1\n", 2),                     # non-finite
+        ("NORB 2\n-inf 0 0 0 0\n", 2),
+        ("NORB 2\n1e999 1 1 0 0\n", 2),
+        ("NORB 2\n0.1 1 3 1 1\n", 2),                     # out of bounds
+        ("NORB 2\n0.1 0 1 0 0\n", 2),
+        ("NORB 2\n0.1 -1 1 1 1\n", 2),
+        ("NORB 2\n0.1 1 1 1 99999999999999999999\n", 2),
+        ("NORB 2\n0.1 1 0 1 1\n", 2),                     # mixed zero
+        ("NORB 2\n0.1 0 0 1 1\n", 2),
+        ("NORB 2\n0.1 1 2 0 0\n# c\n0.2 2 1 0 0\n", 4),  # h1 conflict
+        ("NORB 2\n0.1 1 2 1 2\n0.3 2 1 2 1\n", 3),        # h2 conflict
+        ("NORB 2\n0.1 1 2 1 1\n0.1 2 1 1 1\n0.1 1 1 1 2\n0.2 1 1 2 1\n", 5),
+        ("NORB 1\n0.5 0 0 0 0\n0.5 0 0 0 0\n0.7 0 0 0 0\n", 4),  # core
+        ("NORB 2\n0.1 2 2 2 2\n0.2 2 2 2 2\n0.1 1 1 1 1\n0.2 1 1 1 1\n", 3),
+        ("0.1 1 1 1 1\n", 1),                             # missing header
+        ("# only a comment\n\n", 1),
+        ("", 1),
+        ("\n\nNORB x\n", 3),
+        ("NORB 0\n", 1),
+        ("NORB 2 3\n", 1),
+        ("NORB 2\n0.1 1 3 1 1\nnan 1 1 1 1\n", 2),        # two faults
+        ("NORB 2\nnan 1 3 1 1\n", 2),                     # non-finite first
+        ("NORB 2\nnan 1 0 1 1\n", 2),
+        ("NORB 2\n0.1 1 1 1 1\n0.2 1 1 1 1\n0.1 1 1\n", 3),
+        ("NORB 2\n0.1 1 1\n0.1 1 1 1 1\n0.2 1 1 1 1\n", 2),
+        ("NORB 2\n0.1 1 1 1 1\n0.1 9 1 1 1\n0.2 1 1 1 1\n", 3),
+        ("NORB 2\r\n\r\n0.1 1 1 1\r\n", 3),             # \r\n endings
+        ("NORB 2\r0.1 1 1 1 1\r0.1 1 1 1\r", 3),          # bare \r
+        ("NORB 2\n0.1 1 1 1 1\x0c0.1 1 1 1\n", 3),         # form feed
+        ("NORB 2\n0.1 1 1 1 1\u20280.1 1 1 1\n", 3),
+    ])
+    def test_fault_corpus(self, text, line):
+        kind, at, message = assert_same_as_reference(text)
+        assert issubclass(kind, ParseError)
+        assert at == line
+
+    def test_duplicate_rules(self):
+        # h1/h2 keep their first value; the core energy its latest
+        text = ("NORB 1\n0.5 0 0 0 0\n0.50000000008 0 0 0 0\n"
+                "0.50000000016 0 0 0 0\n0.25 1 1 0 0\n0.25000000008 1 1 0 0\n")
+        ints = parse_integrals(text)
+        assert ints.core_energy == 0.50000000016
+        assert ints.h1[0, 0] == 0.25
+        assert_same_as_reference(text)
+        # a difference of exactly DUPLICATE_TOL is still consistent
+        edge = f"NORB 1\n0.0 1 1 1 1\n{DUPLICATE_TOL!r} 1 1 1 1\n"
+        assert parse_integrals(edge).h2[0, 0, 0, 0] == 0.0
+        with pytest.raises(ParseError, match=r"h1 record for \(1, 1\) "
+                           r"\(previous at line 5\)"):
+            parse_integrals(text + "0.25000000016 1 1 0 0\n")
+
+    def test_serialized_files_bit_identical(self):
+        for seed in range(3):
+            ints = gen_synthetic(SyntheticSpec(n_orb=4, rank=6, seed=seed))
+            assert_same_as_reference(serialize_integrals(ints))
+
+
+def _block_spanning_lines(n_records: int) -> list[str]:
+    """Header plus ``n_records`` distinct h2 classes over 20 orbitals."""
+    pairs = [(i, j) for i in range(1, 21) for j in range(1, i + 1)]
+    classes = [a + b for x, a in enumerate(pairs) for b in pairs[:x + 1]]
+    assert n_records <= len(classes)
+    return ["NORB 20"] + [f"{0.001 * (t + 1)!r} {i} {j} {k} {l}"
+                          for t, (i, j, k, l) in enumerate(classes[:n_records])]
+
+
+class TestBlockBoundaries:
+    BLOCK = ingest._BLOCK_LINES
+
+    def _lines(self):
+        return _block_spanning_lines(self.BLOCK + 800)
+
+    def test_many_blocks_bit_identical(self):
+        lines = self._lines()
+        # consistent duplicates of first-block records, late in the file
+        lines += ["0.001 1 1 1 1", "0.002 2 1 1 1", "0.002 1 1 1 2"]
+        assert_same_as_reference("\n".join(lines))
+
+    def test_fault_in_second_block(self):
+        lines = self._lines()
+        lines[self.BLOCK + 100] = "0.1 1 1 1"
+        kind, line, _ = assert_same_as_reference("\n".join(lines) + "\n")
+        assert line == self.BLOCK + 101
+
+    def test_conflict_split_across_blocks(self):
+        lines = self._lines()
+        lines.insert(self.BLOCK + 50, "0.5 1 2 1 1")  # line 3 holds 0.002 2 1 1 1
+        kind, line, message = assert_same_as_reference("\n".join(lines))
+        assert line == self.BLOCK + 51
+        assert message.endswith("(previous at line 3)")
+
+    def test_earlier_conflict_beats_later_fault(self):
+        lines = self._lines()
+        lines.insert(self.BLOCK + 50, "0.5 1 2 1 1")
+        lines[self.BLOCK + 60] = "0.1 1 1 x 1"
+        _, line, _ = assert_same_as_reference("\n".join(lines))
+        assert line == self.BLOCK + 51
+
+    def test_earlier_fault_beats_later_conflict(self):
+        lines = self._lines()
+        lines.insert(self.BLOCK + 50, "0.5 1 2 1 1")
+        lines[self.BLOCK - 10] = "0.1 1 99 1 1"
+        _, line, _ = assert_same_as_reference("\n".join(lines))
+        assert line == self.BLOCK - 9
