@@ -13,7 +13,7 @@ from .dfact import (DFDecomposition, DFLeaf, choose_tolerances, factorize,
                     lambda_norms, qpe_energy_offset, reconstruct)
 from .ingest import (Atom, Geometry, IntegralSet, SyntheticSpec, gen_synthetic,
                      parse_integrals, parse_xyz, serialize_xyz)
-from .logicalcost import (BudgetSplit, DFDims, EstimationConfig,
+from .logicalcost import (BudgetSplit, EstimationConfig,
                           LogicalEstimate, estimate_logical, qpe_steps,
                           walk_step_cost)
 from .physcost import (CodeParams, FactoryDesign, PhysicalEstimate,
@@ -29,7 +29,7 @@ __all__ = [
     "parse_integrals", "parse_xyz", "serialize_xyz",
     "DFDecomposition", "DFLeaf", "factorize", "reconstruct", "lambda_norms",
     "choose_tolerances", "qpe_energy_offset",
-    "BudgetSplit", "DFDims", "EstimationConfig", "LogicalEstimate",
+    "BudgetSplit", "EstimationConfig", "LogicalEstimate",
     "estimate_logical", "qpe_steps", "walk_step_cost",
     "CodeParams", "FactoryDesign", "PhysicalEstimate", "QubitParams",
     "count_factories", "design_factories", "estimate_physical", "get_preset",

@@ -17,18 +17,22 @@ parameters, define qubit presets, and adjust code constants::
                                     "p_gate": 1e-4, "p_meas": 1e-4}},
       "code": {"a_coeff": 0.03, "p_threshold": 0.01, "d_min": 3}
     }
+
+A file that is not JSON is a ``parse`` error; an unknown or missing key,
+or a section that is not a JSON object, is ``invalid-input``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 
 from . import dfact, ingest, pipeline
-from .errors import DfqreError, ValidationError
+from .errors import DfqreError, ValidationError, decode_json
 from .logicalcost import BudgetSplit, EstimationConfig, LogicalEstimate, \
     estimate_logical
 from .physcost import CodeParams, QubitParams, estimate_physical, get_preset
@@ -36,37 +40,61 @@ from .physcost import CodeParams, QubitParams, estimate_physical, get_preset
 CONFIG_ENV_VAR = "DFQRE_CONFIG"
 
 
-def _load_config(path: str | None) -> dict:
-    path = path or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
+def _read_json(path: str, decode=None):
     with open(path) as handle:
-        return json.load(handle)
+        return decode_json(handle.read(), path, decode)
 
 
-def _estimation_config(raw: dict, eps: float | None = None,
-                       budget: float | None = None) -> EstimationConfig:
-    section = dict(raw.get("estimation", {}))
-    if eps is not None:
-        section["eps_total_energy"] = eps
-    if budget is not None:
-        section["error_budget"] = budget
-        section.pop("budget_split", None)
-    split = section.pop("budget_split", None)
-    if split is not None:
-        section["budget_split"] = BudgetSplit(**split)
-    return EstimationConfig(**section)
+@dataclasses.dataclass(frozen=True)
+class _ConfigFile:
+    estimation: dict = dataclasses.field(default_factory=dict)
+    qubit_presets: dict = dataclasses.field(default_factory=dict)
+    code: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, section in vars(self).items():
+            if not isinstance(section, dict):
+                raise ValidationError(f"config {name} must be a JSON object")
 
 
-def _qubit_params(raw: dict, preset: str) -> QubitParams:
-    presets = raw.get("qubit_presets", {})
-    if preset in presets:
-        return QubitParams(name=preset, **presets[preset])
-    return get_preset(preset)
+def _section(cls, data, where: str, **overrides):
+    """``cls(**data, **overrides)`` for the config object ``data``; an
+    unknown or missing key, or a value of the wrong type, is a
+    ValidationError that names it."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = [key for key in data if key not in cls.__dataclass_fields__]
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
+    try:
+        return cls(**{**data, **overrides})
+    except TypeError as exc:  # a missing key or a mistyped value, by name
+        raise ValidationError(f"{where}: {exc}") from None
 
 
-def _code_params(raw: dict) -> CodeParams:
-    return CodeParams(**raw.get("code", {}))
+def _settings(args) -> tuple[EstimationConfig, QubitParams, CodeParams]:
+    """Estimation config, qubit parameters and code constants: the config
+    file (--config or $DFQRE_CONFIG) overridden by the command's flags."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    raw = _section(_ConfigFile, _read_json(path) if path else {},
+                   "the config file")
+    overrides = {}
+    if getattr(args, "eps", None) is not None:
+        overrides["eps_total_energy"] = args.eps
+    split = raw.estimation.get("budget_split")
+    if getattr(args, "budget", None) is not None:
+        overrides.update(error_budget=args.budget, budget_split=None)
+    elif split is not None:
+        overrides["budget_split"] = _section(
+            BudgetSplit, split, "config estimation.budget_split")
+    config = _section(EstimationConfig, raw.estimation, "config estimation",
+                      **overrides)
+    presets = {name: _section(QubitParams, spec,
+                              f"config qubit_presets.{name}", name=name)
+               for name, spec in raw.qubit_presets.items()}
+    preset = getattr(args, "preset", "qubit_gate_ns_e4")
+    qp = presets[preset] if preset in presets else get_preset(preset)
+    return config, qp, _section(CodeParams, raw.code, "config code")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,12 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except DfqreError as exc:
-        json.dump({"error": exc.category, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except OSError as exc:
-        json.dump({"error": "io", "message": str(exc)}, sys.stderr)
+    except (DfqreError, OSError) as exc:
+        category = exc.category if isinstance(exc, DfqreError) else "io"
+        json.dump({"error": category, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     return 0
@@ -188,8 +213,7 @@ def _cmd_factorize(args):
 
 
 def _cmd_estimate_logical(args):
-    raw = _load_config(args.config)
-    config = _estimation_config(raw, eps=args.eps, budget=args.budget)
+    config, _, _ = _settings(args)
     with open(args.df_file) as handle:
         df = dfact.DFDecomposition.loads(handle.read())
     estimate = estimate_logical(df, config)
@@ -202,13 +226,9 @@ def _cmd_estimate_logical(args):
 
 
 def _cmd_estimate_physical(args):
-    raw = _load_config(args.config)
-    config = _estimation_config(raw, budget=args.budget)
-    qp = _qubit_params(raw, args.preset)
-    code = _code_params(raw)
+    config, qp, code = _settings(args)
     if args.from_logical:
-        with open(args.from_logical) as handle:
-            logical = LogicalEstimate.from_json_dict(json.load(handle))
+        logical = _read_json(args.from_logical, LogicalEstimate.from_json_dict)
         qubits, t_count = logical.n_logical_qubits, logical.t_count
     elif args.qubits is not None and args.tcount is not None:
         qubits, t_count = args.qubits, _exact_count(args.tcount)
@@ -235,10 +255,7 @@ def _exact_count(text: str) -> int:
 
 
 def _cmd_reproduce_table(args):
-    raw = _load_config(args.config)
-    config = _estimation_config(raw)
-    qp = _qubit_params(raw, args.preset)
-    code = _code_params(raw)
+    config, qp, code = _settings(args)
     rows = pipeline.load_reference_table(args.fixture)
     comparison = pipeline.reproduce_table(rows, qp, code, config)
     if args.csv:
@@ -265,8 +282,8 @@ def _cmd_fit_scaling(args):
 
 
 def _cmd_fmo_assemble(args):
-    with open(args.ledger) as handle:
-        ledger = pipeline.FragmentEnergyLedger.from_json_dict(json.load(handle))
+    ledger = _read_json(args.ledger,
+                        pipeline.FragmentEnergyLedger.from_json_dict)
     total = pipeline.fmo_assemble(ledger)
     print(json.dumps({"total_energy_hartree": total}))
 

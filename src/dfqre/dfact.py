@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import NumericalError, ValidationError, decode_json
 from .ingest import IntegralSet
 
 # Relative cutoff below which an eigenvalue counts as numerically zero.
@@ -150,16 +150,7 @@ class DFDecomposition:
     @classmethod
     def loads(cls, text: str) -> "DFDecomposition":
         """Decode ``dumps`` output; ParseError if it is not such a document."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno) from None
-        try:
-            return cls.from_json_dict(data)
-        except KeyError as exc:
-            raise ParseError(f"decomposition JSON lacks key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed decomposition JSON: {exc}") from None
+        return decode_json(text, "decomposition JSON", cls.from_json_dict)
 
 
 # ---------------------------------------------------------------------------

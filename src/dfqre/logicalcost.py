@@ -49,10 +49,6 @@ class BudgetSplit:
         return self.logical + self.t_states + self.rotations
 
 
-def _equal_thirds(budget: float) -> BudgetSplit:
-    return BudgetSplit(budget / 3.0, budget / 3.0, budget / 3.0)
-
-
 @dataclass(frozen=True)
 class EstimationConfig:
     eps_total_energy: float = 1e-3
@@ -67,23 +63,10 @@ class EstimationConfig:
             raise ValidationError("error_budget must lie in (0, 1)")
         if not self.rotation_cost_coefficient > 0:
             raise ValidationError("rotation_cost_coefficient must be positive")
-        split = self.budget_split or _equal_thirds(self.error_budget)
+        split = self.budget_split or BudgetSplit(*[self.error_budget / 3.0] * 3)
         if abs(split.total - self.error_budget) > 1e-12:
             raise ValidationError("budget shares must sum to error_budget")
         object.__setattr__(self, "budget_split", split)
-
-
-@dataclass(frozen=True)
-class DFDims:
-    """Shape of a decomposition: orbitals, leaves R, total stage-2 pairs."""
-
-    n_orb: int
-    n_leaves: int
-    total_leaf_eigs: int
-
-    def __post_init__(self):
-        if self.n_orb < 1 or self.n_leaves < 0 or self.total_leaf_eigs < 0:
-            raise ValidationError("inconsistent decomposition dimensions")
 
 
 @dataclass(frozen=True)
@@ -108,23 +91,24 @@ def qpe_steps(lam: float, eps_phase: float) -> int:
         raise ValidationError("eps_phase must be positive")
     if lam < 0:
         raise ValidationError("lam must be non-negative")
-    if lam == 0:
-        return 0
     return math.ceil(math.pi * lam / (2.0 * eps_phase))
 
 
-def walk_step_cost(dims: DFDims, config: EstimationConfig,
+def walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
                    total_steps: int = 1) -> WalkStepCost:
     """T and ancilla cost of one controlled walk step.
 
-    ``total_steps`` sets the number of walk applications in the whole run;
-    the rotation-synthesis tolerance divides the rotation error budget
-    across every rotation of the run, so per-step cost grows slowly with
-    run length.
+    ``dims`` is ``(n_orb, n_leaves, total_leaf_eigs)``, as returned by
+    ``DFDecomposition.dims()``. ``total_steps`` sets the number of walk
+    applications in the whole run; the rotation-synthesis tolerance divides
+    the rotation error budget across every rotation of the run, so
+    per-step cost grows slowly with run length.
     """
+    n, n_leaves, total_eigs = dims
+    if n < 1 or n_leaves < 0 or total_eigs < 0:
+        raise ValidationError("inconsistent decomposition dimensions")
     if total_steps < 1:
         raise ValidationError("total_steps must be >= 1")
-    n, n_leaves, total_eigs = dims.n_orb, dims.n_leaves, dims.total_leaf_eigs
 
     # one extra "leaf" accounts for the hbar basis change
     rotations_per_step = ROTATIONS_PER_LEAF_FACTOR * n * (n_leaves + 1)
@@ -213,8 +197,7 @@ def estimate_logical(df: DFDecomposition,
     config = config or EstimationConfig()
     _, _, lam = lambda_norms(df)
     steps = qpe_steps(lam, config.eps_total_energy / 2.0)
-    dims = DFDims(*df.dims())
-    cost = walk_step_cost(dims, config, total_steps=max(steps, 1))
+    cost = walk_step_cost(df.dims(), config, total_steps=max(steps, 1))
     t_count = steps * cost.t_per_step
     phase_bits = math.ceil(math.log2(steps)) if steps > 0 else 0
     n_logical = 2 * df.n_orb + phase_bits + cost.ancilla_qubits

@@ -75,12 +75,9 @@ class CodeParams:
             raise ValidationError("a_coeff must be positive")
         if not 0 < self.p_threshold < 1:
             raise ValidationError("p_threshold must lie in (0, 1)")
-        if self.d_min < 1 or self.d_min % 2 == 0:
+        if (not isinstance(self.d_min, int) or self.d_min < 1
+                or self.d_min % 2 == 0):
             raise ValidationError("d_min must be a positive odd integer")
-
-    def cycle_time(self, qp: QubitParams, d: int) -> float:
-        """Logical cycle: d syndrome rounds."""
-        return qp.syndrome_round_time * d
 
 
 def logical_error_rate(d: int, p: float, code: CodeParams | None = None) -> float:
@@ -110,9 +107,18 @@ def _ceil_sqrt(value: int) -> int:
     return root if root * root == value else root + 1
 
 
+def _min_distance(scale: float, limit: float, qp: QubitParams,
+                  code: CodeParams) -> int | None:
+    """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit."""
+    for d in range(code.d_min, MAX_DISTANCE + 1, 2):
+        if scale * logical_error_rate(d, qp.p_gate, code) <= limit:
+            return d
+    return None
+
+
 def select_distance(n_alg_qubits: int, cycles: int, qp: QubitParams,
-                    code: CodeParams | None = None,
-                    eps_logical: float = 0.01 / 3) -> int:
+                    code: CodeParams | None = None, *,
+                    eps_logical: float) -> int:
     """Smallest odd distance keeping total logical failure within budget.
 
     The budget check is tiles * cycles * logical_error_rate(d), i.e. every
@@ -123,36 +129,32 @@ def select_distance(n_alg_qubits: int, cycles: int, qp: QubitParams,
         raise ValidationError("cycles must be >= 1")
     if not 0 < eps_logical < 1:
         raise ValidationError("eps_logical must lie in (0, 1)")
-    tiles = layout_tiles(n_alg_qubits)
-    d = code.d_min
-    while d <= MAX_DISTANCE:
-        if tiles * cycles * logical_error_rate(d, qp.p_gate, code) <= eps_logical:
-            return d
-        d += 2
-    raise DistanceSaturationError(
-        f"no distance <= {MAX_DISTANCE} meets logical budget {eps_logical:g}")
+    d = _min_distance(layout_tiles(n_alg_qubits) * cycles, eps_logical, qp, code)
+    if d is None:
+        raise DistanceSaturationError(
+            f"no distance <= {MAX_DISTANCE} meets logical budget {eps_logical:g}")
+    return d
 
 
 @dataclass(frozen=True)
 class FactoryDesign:
     """A pipelined multi-round 15-to-1 distillation unit.
 
-    ``duration`` is the steady-state period between output T states;
-    earlier rounds run concurrently inside the same tile block, so the
-    footprint and period follow the final stage.
+    ``duration_fs`` is the steady-state period between output T states, in
+    exact femtoseconds; earlier rounds run concurrently inside the same
+    tile block, so the footprint and period follow the final stage.
     """
 
     rounds: int
     stage_distances: tuple[int, ...]
     qubits_per_factory: int
-    duration: float               # seconds per output T state
+    duration_fs: int              # femtoseconds per output T state
     output_error: float           # acceptance-counting error per T state
-    duration_fs: int              # exact femtoseconds, for ratio arithmetic
 
     def __post_init__(self):
         if self.rounds < 1 or len(self.stage_distances) != self.rounds:
             raise ValidationError("stage count must match rounds")
-        if self.qubits_per_factory < 1 or self.duration <= 0:
+        if self.qubits_per_factory < 1 or self.duration_fs <= 0:
             raise ValidationError("factory qubits and duration must be positive")
 
 
@@ -180,26 +182,18 @@ def design_factories(qp: QubitParams, per_t_error_budget: float,
             f"budget {per_t_error_budget:g} unreachable in "
             f"{MAX_DISTILL_ROUNDS} rounds of 15-to-1 distillation")
 
-    distances = tuple(_stage_distance(chain[k], qp, code) for k in range(rounds))
+    distances = tuple(_min_distance(FACTORY_CLIFFORD_LOCATIONS, chain[k] / 2.0,
+                                    qp, code) for k in range(rounds))
+    if None in distances:
+        raise FactoryBudgetError(
+            "no stage distance suppresses Clifford error enough")
     d_last = distances[-1]
     qubits = FACTORY_TILES * 2 * d_last * d_last
     round_fs = round(qp.syndrome_round_time * 1e15)
     duration_fs = int(FACTORY_CYCLES_PER_OUTPUT * d_last * round_fs)
     return FactoryDesign(rounds=rounds, stage_distances=distances,
-                         qubits_per_factory=qubits,
-                         duration=duration_fs * 1e-15,
-                         output_error=chain[rounds],
-                         duration_fs=duration_fs)
-
-
-def _stage_distance(input_error: float, qp: QubitParams, code: CodeParams) -> int:
-    d = code.d_min
-    while d <= MAX_DISTANCE:
-        residual = FACTORY_CLIFFORD_LOCATIONS * logical_error_rate(d, qp.p_gate, code)
-        if residual <= input_error / 2.0:
-            return d
-        d += 2
-    raise FactoryBudgetError("no stage distance suppresses Clifford error enough")
+                         qubits_per_factory=qubits, duration_fs=duration_fs,
+                         output_error=chain[rounds])
 
 
 def count_factories(t_count: int, cycles: int, d: int, qp: QubitParams,
@@ -223,7 +217,6 @@ class PhysicalEstimate:
     runtime_s: float
     cycles: int
     factory: FactoryDesign | None = None
-    eps_logical: float = 0.0
     logical_failure: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -241,7 +234,7 @@ class PhysicalEstimate:
                 "rounds": self.factory.rounds,
                 "stage_distances": list(self.factory.stage_distances),
                 "qubits_per_factory": self.factory.qubits_per_factory,
-                "duration_s": self.factory.duration,
+                "duration_s": self.factory.duration_fs * 1e-15,
                 "output_error": self.factory.output_error,
             }
         return data
@@ -275,8 +268,7 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
             distance=code.d_min, tiles=tiles, n_factories=0,
             factory_qubits_total=0,
             n_physical_qubits=tiles * 2 * code.d_min**2,
-            runtime_s=0.0, cycles=0, factory=None,
-            eps_logical=config.budget_split.logical, logical_failure=0.0)
+            runtime_s=0.0, cycles=0)
 
     cycles = t_count
     d = select_distance(n_alg_qubits, cycles, qp, code,
@@ -285,13 +277,12 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
     n_factories = count_factories(t_count, cycles, d, qp, fd)
     factory_total = n_factories * fd.qubits_per_factory
     n_physical = tiles * 2 * d * d + factory_total
-    runtime = cycles * code.cycle_time(qp, d)
+    runtime = cycles * (qp.syndrome_round_time * d)
     failure = tiles * cycles * logical_error_rate(d, qp.p_gate, code)
     return PhysicalEstimate(distance=d, tiles=tiles, n_factories=n_factories,
                             factory_qubits_total=factory_total,
                             n_physical_qubits=n_physical, runtime_s=runtime,
                             cycles=cycles, factory=fd,
-                            eps_logical=config.budget_split.logical,
                             logical_failure=failure)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -14,13 +13,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .logicalcost import EstimationConfig
-from .physcost import CodeParams, QubitParams, estimate_physical, get_preset
+from .physcost import CodeParams, QubitParams, estimate_physical
 
 HARTREE_TO_KJ_PER_MOL = 2625.4996
-
-TABLE_COLUMNS = ("fragment", "basis", "n_orb", "n_logical", "t_count",
-                 "distance", "n_physical", "n_factories",
-                 "factory_qubits_total", "runtime_s")
 
 
 @dataclass(frozen=True)
@@ -37,9 +32,6 @@ class ReportRow:
     n_factories: int
     factory_qubits_total: float
     runtime_s: float
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in TABLE_COLUMNS}
 
 
 def load_reference_table(path: str | None = None) -> list[ReportRow]:
@@ -130,7 +122,6 @@ def reproduce_table(rows: list[ReportRow],
                     code: CodeParams | None = None,
                     config: EstimationConfig | None = None) -> TableComparison:
     """Re-estimate every row from its (n_logical, t_count) and compare."""
-    qp = qp or get_preset("qubit_gate_ns_e4")
     results = []
     for row in rows:
         est = estimate_physical(row.n_logical, row.t_count, qp, code, config)
@@ -224,22 +215,6 @@ def binding_affinity(e_complex: float, e_apo: float, e_ion: float
     return delta, delta * HARTREE_TO_KJ_PER_MOL
 
 
-def indistinguishable_pairs(energies_kj: dict, window_kj: float = 20.0
-                            ) -> list[tuple[str, str]]:
-    """Candidate pairs whose energy gap is within the method accuracy.
-
-    Structures closer than ``window_kj`` cannot be ranked reliably and
-    must be treated as equally probable.
-    """
-    labels = sorted(energies_kj)
-    flagged = []
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if abs(energies_kj[a] - energies_kj[b]) <= window_kj:
-                flagged.append((a, b))
-    return flagged
-
-
 # ---------------------------------------------------------------------------
 # Scaling fit
 
@@ -257,19 +232,3 @@ def fit_scaling(points) -> float:
         raise ValidationError("degenerate abscissae: all n_orb equal")
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope)
-
-
-def rows_csv(rows: list[ReportRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TABLE_COLUMNS)
-    for row in rows:
-        writer.writerow([row.fragment, row.basis, row.n_orb, row.n_logical,
-                         row.t_count, row.distance, repr(row.n_physical),
-                         row.n_factories, repr(row.factory_qubits_total),
-                         repr(row.runtime_s)])
-    return out.getvalue()
-
-
-def rows_json(rows: list[ReportRow]) -> str:
-    return json.dumps([row.as_dict() for row in rows], indent=1)

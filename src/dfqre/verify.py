@@ -3,9 +3,14 @@ equivalence checks, exact walk operators, and a small phase-estimation
 simulator.
 
 Everything here works on the full occupation-number space of dimension
-4^n_orb, so it is deliberately capped at small orbital counts. These
-routines certify the factorization and cost-model formulas; they are not
-simulators of the production circuits.
+4^n_orb, so it is deliberately capped at small sizes: both Fock-space
+assemblers (from raw integrals and from a decomposition), and so the
+equivalence check, stop at ``FOCK_MAX_ORBITALS`` orbitals and raise
+``ResourceLimitError`` above it; phase estimation stops at
+``QPE_MAX_DIM``. Both assemblers build their operators from the same
+sparse Jordan-Wigner annihilation operators. These routines certify the
+factorization and cost-model formulas; they are not simulators of the
+production circuits.
 """
 
 from __future__ import annotations
@@ -38,12 +43,8 @@ class FockMatrix:
     matrix: np.ndarray
 
     @property
-    def n_spin_orb(self) -> int:
-        return 2 * self.n_orb
-
-    @property
     def dim(self) -> int:
-        return 1 << self.n_spin_orb
+        return 1 << (2 * self.n_orb)
 
     def number_operator(self) -> np.ndarray:
         states = np.arange(self.dim)
@@ -117,43 +118,32 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
     return FockMatrix(n_orb=n, matrix=matrix)
 
 
-def _spin_summed_excitations(n: int) -> list[list[np.ndarray]]:
-    """Dense E_ij = sum_sigma a+_{i,sigma} a_{j,sigma} for small n."""
-    nso = 2 * n
-    lower = _annihilation_operators(nso)
-    raise_ = [op.T.tocsr() for op in lower]
-    ops = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e_ij = (raise_[i] @ lower[j] + raise_[i + n] @ lower[j + n])
-            row.append(np.asarray(e_ij.todense(), dtype=float))
-        ops.append(row)
-    return ops
-
-
 def fock_matrix_of_decomposition(df: DFDecomposition) -> FockMatrix:
     """Fock-space matrix of the factorized Hamiltonian, assembled from
-    hbar and the squared one-body leaf operators as written."""
+    hbar and the squared one-body leaf operators as written.
+
+    A spin-summed one-body operator sum_ij M_ij sum_sigma a+_{i,sigma}
+    a_{j,sigma} is A^T (I_2 (x) M (x) I_dim) A, where A stacks every a_p
+    into one (2n * dim, dim) sparse matrix.
+    """
     n = df.n_orb
-    if n > 3:
-        raise ResourceLimitError("factorized Fock assembly capped at n_orb=3")
+    if n > FOCK_MAX_ORBITALS:
+        raise ResourceLimitError(
+            f"n_orb={n} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
     dim = 1 << (2 * n)
-    exc = _spin_summed_excitations(n)
-    ham = df.core_energy * np.eye(dim)
-    for i in range(n):
-        for j in range(n):
-            if df.h_bar[i, j] != 0.0:
-                ham += df.h_bar[i, j] * exc[i][j]
+    stacked = sp.vstack(_annihilation_operators(2 * n), format="csr")
+    stacked_t = stacked.T.tocsr()
+    identity = sp.identity(dim, format="csr")
+
+    def one_body(mat: np.ndarray) -> sp.csr_matrix:
+        spin_orbital = np.kron(np.eye(2), mat)
+        return stacked_t @ sp.kron(spin_orbital, identity, format="csr") @ stacked
+
+    ham = df.core_energy * identity + one_body(df.h_bar)
     for leaf in df.leaves:
-        mat = leaf.matrix()
-        one_body = np.zeros((dim, dim))
-        for i in range(n):
-            for j in range(n):
-                if mat[i, j] != 0.0:
-                    one_body += mat[i, j] * exc[i][j]
-        ham += 0.5 * leaf.weight * (one_body @ one_body)
-    return FockMatrix(n_orb=n, matrix=ham)
+        op = one_body(leaf.matrix())
+        ham = ham + 0.5 * leaf.weight * (op @ op)
+    return FockMatrix(n_orb=n, matrix=ham.toarray())
 
 
 def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
@@ -165,8 +155,6 @@ def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
     """
     if integrals.n_orb != df.n_orb:
         raise ValidationError("orbital count mismatch between inputs")
-    if integrals.n_orb > 3:
-        raise ResourceLimitError("equivalence oracle capped at n_orb=3")
     reference = build_fock_matrix(integrals).matrix
     assembled = fock_matrix_of_decomposition(df).matrix
     return float(np.abs(np.linalg.eigvalsh(reference - assembled)).max())

@@ -18,7 +18,7 @@ from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
 from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals, \
     parse_xyz, serialize_xyz
 from dfqre.errors import ParseError
-from dfqre.logicalcost import EstimationConfig, walk_step_cost, DFDims
+from dfqre.logicalcost import EstimationConfig, walk_step_cost
 from dfqre.physcost import get_preset, logical_error_rate, layout_tiles
 from dfqre.pipeline import (FragmentEnergyLedger, binding_affinity,
                             fit_scaling, fmo_assemble, reproduce_table)
@@ -167,7 +167,7 @@ def test_criterion_4_logical_layer_properties():
 
     # rotation-budget identity holds exactly at several run lengths
     for steps in (1, 313, 10**6):
-        cost = walk_step_cost(DFDims(6, 21, 126), config, steps)
+        cost = walk_step_cost((6, 21, 126), config, steps)
         assert steps * cost.rotations_per_step * cost.eps_rotation \
             <= config.budget_split.rotations
 

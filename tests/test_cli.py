@@ -253,3 +253,77 @@ def test_bad_decomposition_reports_category(tmp_path, integral_file, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == category
+
+
+def test_estimate_physical_golden_stdout(capsys):
+    assert main(["estimate-physical", "--qubits", "4728",
+                 "--tcount", "1.17e14"]) == 0
+    assert capsys.readouterr().out == """\
+{
+ "distance": 19,
+ "tiles": 9652,
+ "n_factories": 12,
+ "factory_qubits_total": 194400,
+ "n_physical_qubits": 7163144,
+ "runtime_s": 889200000.0,
+ "cycles": 117000000000000,
+ "factory": {
+  "rounds": 2,
+  "stage_distances": [
+   7,
+   15
+  ],
+  "qubits_per_factory": 16200,
+  "duration_s": 8.640000000000001e-05,
+  "output_error": 1.500625000000001e-30
+ }
+}
+"""
+
+
+LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
+           "qpe_steps": 10**6, "lambda": 5.0}
+
+
+@pytest.mark.parametrize("name, text, argv, category", [
+    ("config", json.dumps({"estimation": {"eps": 1e-3}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"code": {"d_min": 3, "distance": 5}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"estimations": {}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"qubit_presets": {"slow": {"t_gate": 1e-7,
+                                                      "gate_time": 1e-7}}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"estimation": {"budget_split": {
+        "logical": 0.005, "t_states": 0.005}}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"code": {"d_min": "3"}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"code": {"d_min": 3.0}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", json.dumps({"qubit_presets": [1]}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("config", "{not json", ["--config", "{}", "reproduce-table"], "parse"),
+    ("config", json.dumps([1, 2]), ["--config", "{}", "reproduce-table"],
+     "invalid-input"),
+    ("logical", "{not json", ["estimate-physical", "--from-logical", "{}"],
+     "parse"),
+    ("logical", json.dumps({k: v for k, v in LOGICAL.items()
+                            if k != "t_count"}),
+     ["estimate-physical", "--from-logical", "{}"], "parse"),
+    ("logical", json.dumps([1, 2]),
+     ["estimate-physical", "--from-logical", "{}"], "parse"),
+    ("ledger", "monomers: A", ["fmo-assemble", "{}"], "parse"),
+    ("ledger", json.dumps({"monomers": {"A": -1.0},
+                           "dimers": [{"pair": ["A", "A"]}]}),
+     ["fmo-assemble", "{}"], "parse"),
+])
+def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
+                                         category):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    assert main([arg.format(path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == category

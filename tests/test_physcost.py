@@ -123,7 +123,7 @@ class TestCountFactories:
         design = design_factories(QP, EPS_LOGICAL / 4.00e10)
         t_count = int(4.00e10)
         # output period spans 14.4 cycles at distance 15
-        ratio = design.duration / CodeParams().cycle_time(QP, 15)
+        ratio = design.duration_fs * 1e-15 / (QP.syndrome_round_time * 15)
         assert ratio == pytest.approx(14.4, rel=1e-9)
         assert count_factories(t_count, t_count, 15, QP, design) == 15
 
@@ -132,8 +132,7 @@ class TestCountFactories:
         tiny = type(design)(rounds=design.rounds,
                             stage_distances=design.stage_distances,
                             qubits_per_factory=design.qubits_per_factory,
-                            duration=1e-9, output_error=design.output_error,
-                            duration_fs=10**6)
+                            duration_fs=10**6, output_error=design.output_error)
         assert count_factories(10**9, 10**9, 15, QP, tiny) == 1
 
     def test_exact_integer_boundary(self):
@@ -177,7 +176,7 @@ class TestEstimatePhysical:
             assert audit["logical_ok"] and audit["t_states_ok"]
 
     def test_runtime_is_cycles_times_cycle_time(self):
-        code = CodeParams()
+        # one logical cycle is d syndrome rounds
         est = estimate_physical(661, int(4e10))
         assert est.runtime_s == pytest.approx(
-            est.cycles * code.cycle_time(QP, est.distance), rel=1e-12)
+            est.cycles * (QP.syndrome_round_time * est.distance), rel=1e-12)

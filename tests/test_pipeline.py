@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,8 +7,7 @@ import pytest
 from dfqre.errors import ValidationError
 from dfqre.pipeline import (FragmentEnergyLedger, ReportRow, binding_affinity,
                             comparison_csv, fit_scaling, fmo_assemble,
-                            indistinguishable_pairs, load_reference_table,
-                            reproduce_table, rows_csv, rows_json)
+                            load_reference_table, reproduce_table)
 
 
 def ledger(monomers, dimers=None):
@@ -72,15 +72,6 @@ class TestBindingAffinity:
         with pytest.raises(ValidationError):
             binding_affinity(float("nan"), 0.0, 0.0)
 
-    def test_accuracy_window_flags(self):
-        # candidates spread over ~40 kJ/mol; a 20 kJ/mol method cannot
-        # separate the close ones
-        energies = {"s1": 0.0, "s2": 15.0, "s3": 40.0}
-        flagged = indistinguishable_pairs(energies, window_kj=20.0)
-        assert ("s1", "s2") in flagged
-        assert ("s1", "s3") not in flagged
-        assert ("s2", "s3") not in flagged
-
 
 class TestFitScaling:
     def test_two_point_slope(self):
@@ -140,19 +131,21 @@ class TestReproduceTable:
         assert len(lines) == 4
         assert lines[0].startswith("fragment,")
 
+    def test_csv_golden_bytes(self, reference_rows):
+        text = comparison_csv(reproduce_table(reference_rows))
+        assert text.splitlines()[1] == (
+            "8,sto-3g,661,40000000000,15,15,868000.0,871200,"
+            "0.003686635944700461,231000.0,240000.0,0.03896103896103896,15,15")
+        assert len(text) == 6070
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "f48bd136ebc41e61062eb556c6926afc5a1fa377f15b0f2afedeef946308ed21"
+
 
 class TestTableFixture:
     def test_row_count_and_columns(self, reference_rows):
         assert len(reference_rows) == 47
         bases = {row.basis for row in reference_rows}
         assert bases == {"sto-3g", "6-31g*", "cc-pvdz"}
-
-    def test_report_row_serialization(self, reference_rows):
-        text = rows_csv(reference_rows[:2])
-        assert text.splitlines()[0].startswith("fragment,basis,n_orb")
-        assert "8" in text
-        json_text = rows_json(reference_rows[:2])
-        assert '"fragment"' in json_text
 
     def test_missing_fixture_errors(self):
         with pytest.raises(OSError):

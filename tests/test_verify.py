@@ -7,9 +7,10 @@ from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
     qpe_energy_offset
 from dfqre.errors import ResourceLimitError, ValidationError
 from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic
-from dfqre.verify import (build_fock_matrix, build_walk_operator,
-                          check_df_equivalence, run_qpe, signed_phase,
-                          walk_spectrum_report)
+from dfqre.verify import (FOCK_MAX_ORBITALS, build_fock_matrix,
+                          build_walk_operator, check_df_equivalence,
+                          fock_matrix_of_decomposition, run_qpe,
+                          signed_phase, walk_spectrum_report)
 
 
 def hubbard_atom(eps, u, core=0.0):
@@ -50,6 +51,17 @@ class TestDfEquivalence:
             n_orb=n_orb, rank=n_orb * (n_orb + 1) // 2, seed=seed))
         df = factorize(ints)
         assert check_df_equivalence(ints, df) <= 1e-9
+
+    def test_untruncated_equivalence_four_orbitals(self):
+        ints = gen_synthetic(SyntheticSpec(n_orb=4, rank=10, seed=4))
+        assert check_df_equivalence(ints, factorize(ints)) <= 1e-9
+
+    def test_decomposition_size_cap(self):
+        # the factorized assembler shares the raw assembler's cap
+        df = factorize(gen_synthetic(SyntheticSpec(n_orb=7, rank=2, seed=8)))
+        with pytest.raises(ResourceLimitError,
+                           match=f"cap of {FOCK_MAX_ORBITALS}$"):
+            fock_matrix_of_decomposition(df)
 
     def test_zero_tensor_exact(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=0, seed=5))
