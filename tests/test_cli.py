@@ -1,4 +1,6 @@
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -167,7 +169,6 @@ def test_unknown_preset_reports_category(capsys):
 
 
 def test_reproduce_table_explicit_fixture(tmp_path, capsys):
-    from importlib import resources
     bundled = resources.files("dfqre.data").joinpath(
         "ab16_resource_table.csv").read_text()
     fixture = tmp_path / "table.csv"
@@ -279,6 +280,57 @@ def test_estimate_physical_golden_stdout(capsys):
  }
 }
 """
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Byte goldens of the CLI chain (factorize -> estimate-logical ->
+# estimate-physical) on two synthetic inputs: a truncated one with
+# --eps 1e-3 and an exact full-rank one. Columns: decomposition, logical
+# and physical JSON sha256, then the factorize stderr.
+CHAIN_GOLDENS = [
+    (SyntheticSpec(n_orb=8, rank=16, seed=1), ["--eps", "1e-3"],
+     "ae1cc1a4b869f8cb4856a309f303b2d784cd531394957123a7c3288a1a90b0cd",
+     "bcbc6edd459f3cbb53ed43165a3ee3b56b1ffd3c6e28dbc559aa6a7b10b7f2a2",
+     "a799dd5adb23081073d61f23ddcb7fd7add068afe7e161ca48b07f0cdecc6eb4",
+     "# leaves=16 total_eigs=128 lambda_T=12.262109879505303 "
+     "lambda_V=34.53928092326822 lambda=46.801390802773525\n"),
+    (SyntheticSpec(n_orb=6, rank=21, seed=2), [],
+     "528eb1fd8e193a834ef95f6ff4e3fd8b046fea97b60ff5f7039ab67a4d627e06",
+     "29c1af1a285b169a30467185677951dbfe84862a4e8ad38692f270010e1ea679",
+     "4535d6986e94a7abe18ed54c48683fb7fa3ba4482bbe2a6dbe3fc8f71751fbca",
+     "# leaves=21 total_eigs=126 lambda_T=9.469704729458723 "
+     "lambda_V=27.970682642245894 lambda=37.44038737170462\n"),
+]
+
+
+@pytest.mark.parametrize("spec, flags, df_sha, logical_sha, physical_sha, "
+                         "stderr", CHAIN_GOLDENS)
+def test_chain_golden_bytes(tmp_path, capsys, spec, flags, df_sha,
+                            logical_sha, physical_sha, stderr):
+    ints = tmp_path / "mol.ints"
+    ints.write_text(serialize_integrals(gen_synthetic(spec)))
+    df_path, logical_path = tmp_path / "df.json", tmp_path / "logical.json"
+    assert main(["factorize", str(ints), *flags, "-o", str(df_path)]) == 0
+    assert capsys.readouterr().err == stderr
+    assert _sha256(df_path.read_text()) == df_sha
+    assert main(["estimate-logical", str(df_path),
+                 "-o", str(logical_path)]) == 0
+    assert _sha256(logical_path.read_text()) == logical_sha
+    assert main(["estimate-physical", "--from-logical",
+                 str(logical_path)]) == 0
+    assert _sha256(capsys.readouterr().out) == physical_sha
+
+
+def test_parse_xyz_json_golden_bytes(capsys):
+    path = resources.files("dfqre.data").joinpath(
+        "geometries").joinpath("fragment_01.xyz")
+    assert main(["parse-xyz", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert (len(out), _sha256(out)) == (
+        1057, "d1d347dc751c37f420e10b93ca203621f91f7fe9e197ad38dfa0daef1257f87d")
 
 
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,

@@ -162,6 +162,19 @@ class TestEstimatePhysical:
         assert est.n_factories == 0
         assert est.distance == CodeParams().d_min
 
+    def test_zero_t_count_golden_json(self):
+        # no factory is designed, so the JSON has no "factory" key
+        assert estimate_physical(10, 0).dumps() == """\
+{
+ "distance": 3,
+ "tiles": 30,
+ "n_factories": 0,
+ "factory_qubits_total": 0,
+ "n_physical_qubits": 540,
+ "runtime_s": 0.0,
+ "cycles": 0
+}"""
+
     def test_physical_qubit_identity(self):
         for n, t in [(661, int(4e10)), (2938, int(1.87e13)), (50, 10**7)]:
             est = estimate_physical(n, t)
