@@ -18,83 +18,58 @@ parameters, define qubit presets, and adjust code constants::
       "code": {"a_coeff": 0.03, "p_threshold": 0.01, "d_min": 3}
     }
 
-A file that is not JSON is a ``parse`` error; an unknown or missing key,
-or a section that is not a JSON object, is ``invalid-input``.
+A config file that is not JSON is a ``parse`` error. An unknown or
+missing key, a value of the wrong JSON type or a non-object section is
+``invalid-input``, named by its dotted path (``cfg.json.code.d_min``); a
+preset takes its name from its key, so a ``name`` key is unknown. The same
+faults in a decomposition, logical or ledger file are ``parse`` errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
-from . import dfact, ingest, pipeline
-from .errors import DfqreError, ValidationError, decode_json
-from .logicalcost import BudgetSplit, EstimationConfig, LogicalEstimate, \
-    estimate_logical
+from . import codec, dfact, ingest, pipeline
+from .errors import DfqreError, ValidationError
+from .logicalcost import EstimationConfig, LogicalEstimate, estimate_logical
 from .physcost import CodeParams, QubitParams, estimate_physical, get_preset
 
 CONFIG_ENV_VAR = "DFQRE_CONFIG"
-
-
-def _read_json(path: str, decode=None):
-    with open(path) as handle:
-        return decode_json(handle.read(), path, decode)
 
 
 @dataclasses.dataclass(frozen=True)
 class _ConfigFile:
     estimation: dict = dataclasses.field(default_factory=dict)
     qubit_presets: dict = dataclasses.field(default_factory=dict)
-    code: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, section in vars(self).items():
-            if not isinstance(section, dict):
-                raise ValidationError(f"config {name} must be a JSON object")
-
-
-def _section(cls, data, where: str, **overrides):
-    """``cls(**data, **overrides)`` for the config object ``data``; an
-    unknown or missing key, or a value of the wrong type, is a
-    ValidationError that names it."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = [key for key in data if key not in cls.__dataclass_fields__]
-    if unknown:
-        raise ValidationError(f"unknown key {unknown[0]!r} in {where}")
-    try:
-        return cls(**{**data, **overrides})
-    except TypeError as exc:  # a missing key or a mistyped value, by name
-        raise ValidationError(f"{where}: {exc}") from None
+    code: CodeParams = dataclasses.field(default_factory=CodeParams)
 
 
 def _settings(args) -> tuple[EstimationConfig, QubitParams, CodeParams]:
     """Estimation config, qubit parameters and code constants: the config
     file (--config or $DFQRE_CONFIG) overridden by the command's flags."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    raw = _section(_ConfigFile, _read_json(path) if path else {},
-                   "the config file")
-    overrides = {}
+    raw = codec.loads(_ConfigFile, Path(path).read_text(), path,
+                      ValidationError) if path else _ConfigFile()
+    estimation = dict(raw.estimation)
     if getattr(args, "eps", None) is not None:
-        overrides["eps_total_energy"] = args.eps
-    split = raw.estimation.get("budget_split")
+        estimation["eps_total_energy"] = args.eps
     if getattr(args, "budget", None) is not None:
-        overrides.update(error_budget=args.budget, budget_split=None)
-    elif split is not None:
-        overrides["budget_split"] = _section(
-            BudgetSplit, split, "config estimation.budget_split")
-    config = _section(EstimationConfig, raw.estimation, "config estimation",
-                      **overrides)
-    presets = {name: _section(QubitParams, spec,
-                              f"config qubit_presets.{name}", name=name)
-               for name, spec in raw.qubit_presets.items()}
+        estimation.update(error_budget=args.budget, budget_split=None)
+    config = codec.decode(EstimationConfig, estimation, f"{path}.estimation",
+                          ValidationError)
+    presets = {name: dataclasses.replace(codec.decode(
+        QubitParams, spec, f"{path}.qubit_presets.{name}", ValidationError),
+        name=name) for name, spec in raw.qubit_presets.items()}
     preset = getattr(args, "preset", "qubit_gate_ns_e4")
     qp = presets[preset] if preset in presets else get_preset(preset)
-    return config, qp, _section(CodeParams, raw.code, "config code")
+    return config, qp, raw.code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,21 +152,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_parse_xyz(args):
-    with open(args.file) as handle:
-        geom = ingest.parse_xyz(handle.read())
+    geom = ingest.parse_xyz(Path(args.file).read_text())
     if args.json:
-        print(json.dumps({
-            "label": geom.label,
-            "atoms": [{"element": a.element, "position": list(a.position)}
-                      for a in geom.atoms],
-        }, indent=1))
+        print(codec.dumps(geom))
     else:
         sys.stdout.write(ingest.serialize_xyz(geom))
 
 
 def _cmd_factorize(args):
-    with open(args.integrals) as handle:
-        integrals = ingest.parse_integrals(handle.read())
+    integrals = ingest.parse_integrals(Path(args.integrals).read_text())
     if args.eps is not None:
         if args.tol_first is not None or args.tol_second is not None:
             raise ValidationError("--eps excludes --tol-first/--tol-second")
@@ -200,12 +169,7 @@ def _cmd_factorize(args):
         tol_first = args.tol_first or 0.0
         tol_second = args.tol_second or 0.0
     df = dfact.factorize(integrals, tol_first, tol_second)
-    text = df.dumps()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _emit(df.dumps(), args.output)
     lam_t, lam_v, lam = dfact.lambda_norms(df)
     print(f"# leaves={df.n_leaves} total_eigs={df.total_leaf_eigs} "
           f"lambda_T={lam_t!r} lambda_V={lam_v!r} lambda={lam!r}",
@@ -214,13 +178,14 @@ def _cmd_factorize(args):
 
 def _cmd_estimate_logical(args):
     config, _, _ = _settings(args)
-    with open(args.df_file) as handle:
-        df = dfact.DFDecomposition.loads(handle.read())
-    estimate = estimate_logical(df, config)
-    text = estimate.dumps()
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
+    df = dfact.DFDecomposition.loads(Path(args.df_file).read_text())
+    _emit(estimate_logical(df, config).dumps(), args.output)
+
+
+def _emit(text: str, path: str | None):
+    """Write ``text`` and a newline to ``path``, or print it."""
+    if path:
+        Path(path).write_text(text + "\n")
     else:
         print(text)
 
@@ -228,7 +193,9 @@ def _cmd_estimate_logical(args):
 def _cmd_estimate_physical(args):
     config, qp, code = _settings(args)
     if args.from_logical:
-        logical = _read_json(args.from_logical, LogicalEstimate.from_json_dict)
+        logical = codec.loads(LogicalEstimate,
+                              Path(args.from_logical).read_text(),
+                              args.from_logical)
         qubits, t_count = logical.n_logical_qubits, logical.t_count
     elif args.qubits is not None and args.tcount is not None:
         qubits, t_count = args.qubits, _exact_count(args.tcount)
@@ -272,9 +239,8 @@ def _cmd_reproduce_table(args):
 
 
 def _cmd_fit_scaling(args):
-    import csv as csv_mod
-    with open(args.csv) as handle:
-        reader = csv_mod.DictReader(
+    with open(args.csv) as handle, codec.reading(args.csv):
+        reader = csv.DictReader(
             line for line in handle if not line.startswith("#"))
         points = [(float(rec["n_orb"]), float(rec["t_count"])) for rec in reader]
     exponent = pipeline.fit_scaling(points)
@@ -282,8 +248,8 @@ def _cmd_fit_scaling(args):
 
 
 def _cmd_fmo_assemble(args):
-    ledger = _read_json(args.ledger,
-                        pipeline.FragmentEnergyLedger.from_json_dict)
+    ledger = codec.decode_json(Path(args.ledger).read_text(), args.ledger,
+                               pipeline.FragmentEnergyLedger.from_json_dict)
     total = pipeline.fmo_assemble(ledger)
     print(json.dumps({"total_energy_hartree": total}))
 

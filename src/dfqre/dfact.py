@@ -14,13 +14,13 @@ stage-2 eigendecomposition of leaf r.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, decode_json
+from . import codec
+from .errors import NumericalError, ValidationError
 from .ingest import IntegralSet
 
 # Relative cutoff below which an eigenvalue counts as numerically zero.
@@ -75,12 +75,12 @@ class DFDecomposition:
     n_orb: int
     core_energy: float
     h_bar: np.ndarray
-    leaves: tuple[DFLeaf, ...]
     tol_first: float
     tol_second: float
     # Rigorous bound on the packed-pair-matrix 2-norm of the reconstruction
     # error, accumulated from the actually discarded eigenvalue mass.
     truncation_bound: float = 0.0
+    leaves: tuple[DFLeaf, ...] = field(kw_only=True)
 
     def __post_init__(self):
         h_bar = np.asarray(self.h_bar, dtype=float)
@@ -110,47 +110,13 @@ class DFDecomposition:
         """(n_orb, leaf count R, total stage-2 eigenpair count)."""
         return (self.n_orb, self.n_leaves, self.total_leaf_eigs)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_orb": self.n_orb,
-            "core_energy": self.core_energy,
-            "h_bar": self.h_bar.tolist(),
-            "tol_first": self.tol_first,
-            "tol_second": self.tol_second,
-            "truncation_bound": self.truncation_bound,
-            "leaves": [
-                {
-                    "index": leaf.index,
-                    "weight": leaf.weight,
-                    "eigvals": leaf.eigvals.tolist(),
-                    "vecs": leaf.vecs.tolist(),
-                }
-                for leaf in self.leaves
-            ],
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DFDecomposition":
-        leaves = tuple(
-            DFLeaf(index=entry["index"], weight=entry["weight"],
-                   eigvals=np.array(entry["eigvals"], dtype=float),
-                   vecs=np.array(entry["vecs"], dtype=float))
-            for entry in data["leaves"]
-        )
-        return cls(n_orb=data["n_orb"], core_energy=data["core_energy"],
-                   h_bar=np.array(data["h_bar"], dtype=float), leaves=leaves,
-                   tol_first=data["tol_first"], tol_second=data["tol_second"],
-                   truncation_bound=data.get("truncation_bound", 0.0))
+        return codec.dumps(self)
 
     @classmethod
     def loads(cls, text: str) -> "DFDecomposition":
         """Decode ``dumps`` output; ParseError if it is not such a document."""
-        return decode_json(text, "decomposition JSON", cls.from_json_dict)
+        return codec.loads(cls, text, "decomposition JSON")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ The CLI maps every exception below to a JSON error record whose
 
 from __future__ import annotations
 
-import json
-
 
 class DfqreError(Exception):
     """Base class for all package errors."""
@@ -59,22 +57,3 @@ class FactoryBudgetError(DfqreError):
     """Requested per-T-state error is unreachable within three rounds."""
 
     category = "factory-budget"
-
-
-def decode_json(text: str, what: str, decode=None):
-    """The JSON document ``text``, passed through ``decode`` if given.
-
-    Text that is not JSON, or a document ``decode`` cannot read (a missing
-    key, a value of the wrong type), raises ParseError naming ``what``.
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} is not JSON: {exc.msg}",
-                         line=exc.lineno) from None
-    try:
-        return data if decode is None else decode(data)
-    except KeyError as exc:
-        raise ParseError(f"{what} lacks key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"{what} is malformed: {exc}") from None

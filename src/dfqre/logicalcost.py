@@ -10,10 +10,10 @@ than matching any particular tool's internals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from . import codec
 from .dfact import DFDecomposition, lambda_norms
 from .errors import ValidationError
 
@@ -155,8 +155,8 @@ class LogicalEstimate:
     n_logical_qubits: int
     t_count: int
     qpe_steps: int
-    lam: float
-    breakdown: dict
+    lam: float = field(metadata={"json": "lambda"})
+    breakdown: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.t_count < 0 or self.qpe_steps < 0:
@@ -164,26 +164,8 @@ class LogicalEstimate:
         if self.qpe_steps > 0 and self.t_count < self.qpe_steps:
             raise ValidationError("t_count below one T per walk step")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_orb": self.n_orb,
-            "n_logical_qubits": self.n_logical_qubits,
-            "t_count": self.t_count,
-            "qpe_steps": self.qpe_steps,
-            "lambda": self.lam,
-            "breakdown": self.breakdown,
-        }
-
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LogicalEstimate":
-        return cls(n_orb=data["n_orb"],
-                   n_logical_qubits=data["n_logical_qubits"],
-                   t_count=int(data["t_count"]),
-                   qpe_steps=int(data["qpe_steps"]),
-                   lam=data["lambda"], breakdown=data.get("breakdown", {}))
+        return codec.dumps(self)
 
 
 def estimate_logical(df: DFDecomposition,

@@ -11,11 +11,11 @@ this artifact.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import codec
 from .errors import (DistanceSaturationError, FactoryBudgetError,
                      ValidationError)
 from .logicalcost import EstimationConfig
@@ -35,7 +35,7 @@ MAX_DISTILL_ROUNDS = 3
 
 @dataclass(frozen=True)
 class QubitParams:
-    name: str = "qubit_gate_ns_e4"
+    name: str = field(default="qubit_gate_ns_e4", metadata={"json": None})
     t_gate: float = 50e-9
     t_meas: float = 100e-9
     p_gate: float = 1e-4
@@ -148,7 +148,7 @@ class FactoryDesign:
     rounds: int
     stage_distances: tuple[int, ...]
     qubits_per_factory: int
-    duration_fs: int              # femtoseconds per output T state
+    duration_fs: int = field(metadata={"json": "duration_s", "scale": 1e-15})
     output_error: float           # acceptance-counting error per T state
 
     def __post_init__(self):
@@ -217,30 +217,10 @@ class PhysicalEstimate:
     runtime_s: float
     cycles: int
     factory: FactoryDesign | None = None
-    logical_failure: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        data = {
-            "distance": self.distance,
-            "tiles": self.tiles,
-            "n_factories": self.n_factories,
-            "factory_qubits_total": self.factory_qubits_total,
-            "n_physical_qubits": self.n_physical_qubits,
-            "runtime_s": self.runtime_s,
-            "cycles": self.cycles,
-        }
-        if self.factory is not None:
-            data["factory"] = {
-                "rounds": self.factory.rounds,
-                "stage_distances": list(self.factory.stage_distances),
-                "qubits_per_factory": self.factory.qubits_per_factory,
-                "duration_s": self.factory.duration_fs * 1e-15,
-                "output_error": self.factory.output_error,
-            }
-        return data
+    logical_failure: float = field(default=0.0, metadata={"json": None})
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
+        return codec.dumps(self)
 
 
 def estimate_physical(n_alg_qubits: int, t_count: int,

@@ -11,6 +11,7 @@ from importlib import resources
 
 import numpy as np
 
+from .codec import reading
 from .errors import ValidationError
 from .logicalcost import EstimationConfig
 from .physcost import CodeParams, QubitParams, estimate_physical
@@ -45,16 +46,17 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
     rows = []
     reader = csv.DictReader(
         line for line in text.splitlines() if not line.startswith("#"))
-    for record in reader:
-        rows.append(ReportRow(
-            fragment=record["fragment"], basis=record["basis"],
-            n_orb=int(record["n_orb"]), n_logical=int(record["n_logical"]),
-            t_count=int(float(record["t_count"])),
-            distance=int(record["distance"]),
-            n_physical=float(record["n_physical"]),
-            n_factories=int(record["n_factories"]),
-            factory_qubits_total=float(record["factory_qubits_total"]),
-            runtime_s=float(record["runtime_s"])))
+    with reading(path or "the bundled table"):
+        for record in reader:
+            rows.append(ReportRow(
+                fragment=record["fragment"], basis=record["basis"],
+                n_orb=int(record["n_orb"]), n_logical=int(record["n_logical"]),
+                t_count=int(float(record["t_count"])),
+                distance=int(record["distance"]),
+                n_physical=float(record["n_physical"]),
+                n_factories=int(record["n_factories"]),
+                factory_qubits_total=float(record["factory_qubits_total"]),
+                runtime_s=float(record["runtime_s"])))
     return rows
 
 

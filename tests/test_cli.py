@@ -366,6 +366,10 @@ LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
      ["estimate-physical", "--from-logical", "{}"], "parse"),
     ("logical", json.dumps([1, 2]),
      ["estimate-physical", "--from-logical", "{}"], "parse"),
+    ("logical", json.dumps(dict(LOGICAL, n_logical_qubits="100")),
+     ["estimate-physical", "--from-logical", "{}"], "parse"),
+    ("config", json.dumps({"qubit_presets": {"slow": {"name": "x"}}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
     ("ledger", "monomers: A", ["fmo-assemble", "{}"], "parse"),
     ("ledger", json.dumps({"monomers": {"A": -1.0},
                            "dimers": [{"pair": ["A", "A"]}]}),
@@ -379,3 +383,24 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == category
+
+
+TABLE_HEADER = ("fragment,basis,n_orb,n_logical,t_count,distance,n_physical,"
+                "n_factories,factory_qubits_total,runtime_s\n")
+TABLE_ROW = "8,sto-3g,23,661,4.00e10,15,8.68e5,15,2.40e5,2.31e5\n"
+
+
+@pytest.mark.parametrize("text, command", [
+    ("n_orb,tcount\n10,1e5\n100,1e10\n", "fit-scaling"),
+    ("n_orb,t_count\n10,abc\n100,1e10\n", "fit-scaling"),
+    (TABLE_HEADER.replace("n_orb", "norb") + TABLE_ROW, "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("23", "x"), "reproduce-table"),
+])
+def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "parse" and str(path) in err["message"]

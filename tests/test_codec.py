@@ -1,0 +1,121 @@
+"""Properties of the JSON codec: the decomposition survives a round trip
+byte for byte, and a value of the wrong JSON type in any field of a logical
+estimate or a config section exits 1 with its documented category."""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dfqre.cli import main
+from dfqre.dfact import DFDecomposition, factorize
+from dfqre.ingest import SyntheticSpec, gen_synthetic
+
+LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
+           "qpe_steps": 10**6, "lambda": 5.0,
+           "breakdown": {"t_per_step": {"total": 1000}}}
+CONFIG = {
+    "estimation": {"eps_total_energy": 2e-3, "error_budget": 0.02,
+                   "budget_split": {"logical": 0.01, "t_states": 0.005,
+                                    "rotations": 0.005},
+                   "rotation_cost_coefficient": 3.0},
+    "qubit_presets": {"slow": {"t_gate": 1e-7, "t_meas": 2e-7,
+                               "p_gate": 5e-4, "p_meas": 5e-4}},
+    "code": {"a_coeff": 0.03, "p_threshold": 0.01, "d_min": 3},
+}
+# the one field whose JSON null is a value: no split means equal thirds
+NULLABLE = {("estimation", "budget_split")}
+
+
+def _paths(doc, prefix=()):
+    """Every key path of a JSON object, objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    _get(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _is_valid_type(good, value, nullable):
+    """Whether ``value`` has the JSON type of the field holding ``good``."""
+    if value is None:
+        return nullable
+    if type(good) is float:
+        return type(value) in (int, float)
+    return type(value) is type(good)
+
+
+JSON_VALUES = st.one_of(st.text(max_size=5), st.booleans(), st.none(),
+                        st.integers(-10, 10**20), st.floats(),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=3), st.integers(),
+                                        max_size=1))
+_fuzz = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _assert_rejected(tmp_path, capsys, doc, argv, category):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([arg.format(path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == category
+
+
+@_fuzz
+@given(data=st.data())
+def test_mistyped_logical_field_is_parse_error(tmp_path, capsys, data):
+    path = data.draw(st.sampled_from([(key,) for key in LOGICAL]))
+    value = data.draw(JSON_VALUES.filter(
+        lambda v: not _is_valid_type(_get(LOGICAL, path), v, False)))
+    _assert_rejected(tmp_path, capsys, _replaced(LOGICAL, path, value),
+                     ["estimate-physical", "--from-logical", "{}"], "parse")
+
+
+CONFIG_ARGV = ["--config", "{}", "estimate-physical", "--qubits", "10",
+               "--tcount", "100", "--preset", "slow"]
+
+
+@_fuzz
+@given(data=st.data())
+def test_mistyped_config_field_is_invalid_input(tmp_path, capsys, data):
+    path = data.draw(st.sampled_from(list(_paths(CONFIG))))
+    value = data.draw(JSON_VALUES.filter(lambda v: not _is_valid_type(
+        _get(CONFIG, path), v, path in NULLABLE)))
+    _assert_rejected(tmp_path, capsys, _replaced(CONFIG, path, value),
+                     CONFIG_ARGV, "invalid-input")
+
+
+def test_fuzzed_documents_are_valid_unchanged(tmp_path, capsys):
+    # the rejections above come from the mutated field alone
+    logical, config = tmp_path / "logical.json", tmp_path / "config.json"
+    logical.write_text(json.dumps(LOGICAL))
+    config.write_text(json.dumps(CONFIG))
+    assert main(["estimate-physical", "--from-logical", str(logical)]) == 0
+    assert main([arg.format(config) for arg in CONFIG_ARGV]) == 0
+    capsys.readouterr()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_orb=st.integers(1, 5), data=st.data())
+def test_decomposition_round_trip(n_orb, data):
+    rank = data.draw(st.integers(0, n_orb * (n_orb + 1) // 2))
+    spec = SyntheticSpec(n_orb=n_orb, rank=rank,
+                         magnitude=data.draw(st.floats(1e-3, 1e3)),
+                         seed=data.draw(st.integers(0, 2**32 - 1)))
+    tol = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    df = factorize(gen_synthetic(spec), data.draw(tol), data.draw(tol))
+    text = df.dumps()
+    assert DFDecomposition.loads(text).dumps() == text

@@ -122,7 +122,7 @@ class TestFactorize:
                             leaves=(leaf,), tol_first=0.0, tol_second=0.0)
 
     def test_loads_errors_are_parse_errors(self):
-        good = factorize(make_set(2, 2, seed=3)).to_json_dict()
+        good = json.loads(factorize(make_set(2, 2, seed=3)).dumps())
         for text in ("{", "[]", json.dumps({"n_orb": 2}),
                      json.dumps(dict(good, leaves=[{"index": 0}])),
                      json.dumps(dict(good, h_bar=[[1.0], [2.0, 3.0]]))):

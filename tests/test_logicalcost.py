@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dfqre import codec
 from dfqre.dfact import factorize
 from dfqre.errors import ValidationError
 from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic
@@ -158,6 +159,6 @@ class TestEstimateLogical:
 
     def test_json_round_trip(self):
         est = full_rank_estimate(4)
-        again = LogicalEstimate.from_json_dict(est.to_json_dict())
+        again = codec.loads(LogicalEstimate, est.dumps(), "logical JSON")
         assert again.t_count == est.t_count
         assert again.n_logical_qubits == est.n_logical_qubits
