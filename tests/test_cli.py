@@ -366,14 +366,14 @@ LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
      ["estimate-physical", "--from-logical", "{}"], "parse"),
     ("logical", json.dumps([1, 2]),
      ["estimate-physical", "--from-logical", "{}"], "parse"),
-    ("logical", json.dumps(dict(LOGICAL, n_logical_qubits="100")),
-     ["estimate-physical", "--from-logical", "{}"], "parse"),
-    ("config", json.dumps({"qubit_presets": {"slow": {"name": "x"}}}),
-     ["--config", "{}", "reproduce-table"], "invalid-input"),
     ("ledger", "monomers: A", ["fmo-assemble", "{}"], "parse"),
     ("ledger", json.dumps({"monomers": {"A": -1.0},
                            "dimers": [{"pair": ["A", "A"]}]}),
      ["fmo-assemble", "{}"], "parse"),
+    ("logical", json.dumps(dict(LOGICAL, n_logical_qubits="100")),
+     ["estimate-physical", "--from-logical", "{}"], "parse"),
+    ("config", json.dumps({"qubit_presets": {"slow": {"name": "x"}}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input"),
 ])
 def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
                                          category):
