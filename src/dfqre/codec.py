@@ -84,8 +84,9 @@ def decode(cls, data, where: str, error=ParseError):
     elif cls in (int, float, str, dict) and not isinstance(data, bool) \
             and isinstance(data, (int, float) if cls is float else cls):
         return data
-    kind = ("a JSON object" if dataclasses.is_dataclass(cls) else "a list"
-            if args else "an array of numbers" if cls is np.ndarray
+    kind = ("a JSON object" if dataclasses.is_dataclass(cls)
+            else "a list" if args
+            else "an array of numbers" if cls is np.ndarray
             else cls.__name__)
     raise error(f"{where} must be {kind}, got {reprlib.repr(data)}")
 
