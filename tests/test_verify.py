@@ -1,12 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
     qpe_energy_offset
 from dfqre.errors import ResourceLimitError, ValidationError
-from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic
+from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic, \
+    parse_integrals
 from dfqre.verify import (FOCK_MAX_ORBITALS, build_fock_matrix,
                           build_walk_operator, check_df_equivalence,
                           fock_matrix_of_decomposition, run_qpe,
@@ -15,6 +21,90 @@ from dfqre.verify import (FOCK_MAX_ORBITALS, build_fock_matrix,
 
 def hubbard_atom(eps, u, core=0.0):
     return IntegralSet(1, core, np.array([[eps]]), np.full((1, 1, 1, 1), u))
+
+
+def _reference_annihilation_operators(n_spin_orb):
+    """Sparse a_p for every spin-orbital, with Jordan-Wigner parity signs."""
+    dim = 1 << n_spin_orb
+    states = np.arange(dim, dtype=np.int64)
+    bits = (states[:, None] >> np.arange(n_spin_orb)) & 1
+    parity_below = np.concatenate(
+        [np.zeros((dim, 1), dtype=np.int64), np.cumsum(bits, axis=1)[:, :-1]],
+        axis=1)
+    ops = []
+    for p in range(n_spin_orb):
+        occupied = bits[:, p] == 1
+        src = states[occupied]
+        dst = src ^ (1 << p)
+        sign = 1.0 - 2.0 * (parity_below[occupied, p] % 2)
+        ops.append(sp.csr_matrix((sign, (dst, src)), shape=(dim, dim)))
+    return ops
+
+
+def reference_build_fock_matrix(integrals):
+    """The sparse-product Fock assembler the bit-string assembler replaced,
+    kept as the oracle for its matrix: one sparse product and one sparse
+    sum per term, in the written order a+_i a+_k a_l a_j."""
+    n = integrals.n_orb
+    nso = 2 * n
+    dim = 1 << nso
+    lower = _reference_annihilation_operators(nso)
+    raise_ = [op.T.tocsr() for op in lower]
+
+    def so(i, sigma):
+        return i + sigma * n
+
+    ham = sp.identity(dim, format="csr") * integrals.core_energy
+    for i in range(n):
+        for j in range(n):
+            hij = integrals.h1[i, j]
+            if hij == 0.0:
+                continue
+            for sigma in (0, 1):
+                ham = ham + hij * (raise_[so(i, sigma)] @ lower[so(j, sigma)])
+
+    right = {(a, b): (lower[a] @ lower[b]).tocsr()
+             for a in range(nso) for b in range(nso)}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    coeff = 0.5 * integrals.h2[i, j, k, l]
+                    if coeff == 0.0:
+                        continue
+                    for sigma in (0, 1):
+                        for rho in (0, 1):
+                            term = raise_[so(i, sigma)] @ (
+                                raise_[so(k, rho)] @ right[(so(l, rho), so(j, sigma))])
+                            ham = ham + coeff * term
+    return np.asarray(ham.todense(), dtype=float)
+
+
+def assert_same_as_reference(integrals):
+    fock = build_fock_matrix(integrals)
+    assert fock.n_orb == integrals.n_orb
+    assert np.array_equal(fock.matrix, reference_build_fock_matrix(integrals))
+
+
+def raw_integrals(n_orb, core, h1, h2):
+    """Integral arrays without IntegralSet's symmetry checks: the
+    assembler reads only these four fields, and asymmetric arrays make
+    every term distinct."""
+    return SimpleNamespace(n_orb=n_orb, core_energy=core, h1=h1, h2=h2)
+
+
+# exact zeros of both signs exercise the assembler's `== 0.0` skips
+_entries = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def asymmetric_integrals(draw):
+    n = draw(st.integers(1, 4))
+    core = draw(st.floats(-10.0, 10.0).filter(lambda c: c != 0.0))
+    h1 = draw(arrays(float, (n, n), elements=_entries))
+    h2 = draw(arrays(float, (n, n, n, n), elements=_entries))
+    return raw_integrals(n, core, h1, h2)
 
 
 class TestFockMatrix:
@@ -42,6 +132,54 @@ class TestFockMatrix:
         ints = IntegralSet(7, 0.0, np.zeros((7, 7)), np.zeros((7, 7, 7, 7)))
         with pytest.raises(ResourceLimitError):
             build_fock_matrix(ints)
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_particle_number_blocks_exactly_zero(self, n_orb):
+        rng = np.random.default_rng(40 + n_orb)
+        ints = raw_integrals(n_orb, 0.3, rng.standard_normal((n_orb,) * 2),
+                             rng.standard_normal((n_orb,) * 4))
+        fock = build_fock_matrix(ints)
+        number = fock.number_operator()
+        coupling = fock.matrix[number[:, None] != number[None, :]]
+        assert coupling.size and np.all(coupling == 0.0)
+
+
+class TestReferenceAssembler:
+    """The matrix is bit-identical to the sparse-product assembler's."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(asymmetric_integrals())
+    def test_asymmetric_integrals_bit_identical(self, ints):
+        assert_same_as_reference(ints)
+
+    def test_five_orbitals_bit_identical(self):
+        rng = np.random.default_rng(5)
+        h1 = rng.standard_normal((5, 5))
+        h2 = rng.standard_normal((5, 5, 5, 5))
+        h2[rng.random(h2.shape) < 0.2] = 0.0
+        assert_same_as_reference(raw_integrals(5, -2.5, h1, h2))
+
+    def test_fixtures_bit_identical(self):
+        fixtures = [hubbard_atom(0.7, 0.9),
+                    IntegralSet(2, -1.5, np.zeros((2, 2)),
+                                np.zeros((2, 2, 2, 2)))]
+        fixtures += [gen_synthetic(SyntheticSpec(n_orb=n, rank=r, seed=s))
+                     for n, r, s in [(1, 0, 0), (2, 1, 1), (2, 2, 2), (3, 3, 3),
+                                     (1, 1, 0), (2, 3, 1), (3, 1, 2),
+                                     (4, 10, 4), (2, 1, 7), (2, 3, 6),
+                                     (2, 0, 5)]]
+        # criterion 6's sweep and its parsed two-orbital file
+        fixtures += [gen_synthetic(SyntheticSpec(n_orb=n, rank=r,
+                                                 seed=seed + 7 * r))
+                     for n in (1, 2, 3) for r in range(n * (n + 1) // 2 + 1)
+                     for seed in (0, 1)]
+        fixtures.append(parse_integrals(
+            "NORB 2\n0.25 0 0 0 0\n-1.1 1 1 0 0\n-0.9 2 2 0 0\n0.2 1 2 0 0\n"
+            "0.65 1 1 1 1\n0.61 2 2 2 2\n0.47 1 1 2 2\n0.12 1 2 1 2\n"
+            "0.08 1 1 1 2\n"))
+        for ints in fixtures:
+            assert_same_as_reference(ints)
 
 
 class TestDfEquivalence:
