@@ -7,10 +7,12 @@ Everything here works on the full occupation-number space of dimension
 assemblers (from raw integrals and from a decomposition), and so the
 equivalence check, stop at ``FOCK_MAX_ORBITALS`` orbitals and raise
 ``ResourceLimitError`` above it; phase estimation stops at
-``QPE_MAX_DIM``. Both assemblers build their operators from the same
-sparse Jordan-Wigner annihilation operators. These routines certify the
-factorization and cost-model formulas; they are not simulators of the
-production circuits.
+``QPE_MAX_DIM``. Both assemblers take their Jordan-Wigner signs from one
+occupancy and sign table over the occupation-number states: the raw
+assembler applies ladder operators to bit strings, the decomposition
+assembler builds sparse annihilation operators from it. These routines
+certify the factorization and cost-model formulas; they are not
+simulators of the production circuits.
 """
 
 from __future__ import annotations
@@ -51,21 +53,28 @@ class FockMatrix:
         return np.array([bin(s).count("1") for s in states], dtype=float)
 
 
+def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupancy and Jordan-Wigner sign of spin-orbital p in every state.
+
+    Both arrays are (n_spin_orb, 2^n_spin_orb); the sign is -1 to the
+    number of occupied spin-orbitals below p.
+    """
+    states = np.arange(1 << n_spin_orb, dtype=np.int64)
+    bits = (states >> np.arange(n_spin_orb)[:, None]) & 1
+    parity_below = np.cumsum(bits, axis=0) - bits
+    return bits == 1, 1.0 - 2.0 * (parity_below % 2)
+
+
 def _annihilation_operators(n_spin_orb: int) -> list[sp.csr_matrix]:
     """Sparse a_p for every spin-orbital, with Jordan-Wigner parity signs."""
     dim = 1 << n_spin_orb
+    occupied, sign = _jordan_wigner_tables(n_spin_orb)
     states = np.arange(dim, dtype=np.int64)
-    bits = (states[:, None] >> np.arange(n_spin_orb)) & 1
-    parity_below = np.concatenate(
-        [np.zeros((dim, 1), dtype=np.int64), np.cumsum(bits, axis=1)[:, :-1]],
-        axis=1)
     ops = []
     for p in range(n_spin_orb):
-        occupied = bits[:, p] == 1
-        src = states[occupied]
-        dst = src ^ (1 << p)
-        sign = 1.0 - 2.0 * (parity_below[occupied, p] % 2)
-        ops.append(sp.csr_matrix((sign, (dst, src)), shape=(dim, dim)))
+        src = states[occupied[p]]
+        ops.append(sp.csr_matrix((sign[p, src], (src ^ (1 << p), src)),
+                                 shape=(dim, dim)))
     return ops
 
 
@@ -75,6 +84,13 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
     The two-body term is built with the operators in their written order
     (a+ a+ a a), so this matrix is independent of any normal-ordering
     identity used elsewhere and can certify those identities.
+
+    Each term is a string of ladder operators applied to every basis
+    state at once: a state is tracked as (source, current, sign), and a
+    ladder operator keeps the states where spin-orbital p is occupied
+    (a_p) or empty (a+_p), flips bit p and multiplies in its
+    Jordan-Wigner sign. A term sends each source to at most one state,
+    so its +-coeff entries are added straight into the dense matrix.
     """
     n = integrals.n_orb
     if n > FOCK_MAX_ORBITALS:
@@ -82,26 +98,37 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
             f"n_orb={n} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
     nso = 2 * n
     dim = 1 << nso
-    lower = _annihilation_operators(nso)
-    raise_ = [op.T.tocsr() for op in lower]
+    occupied, jw_sign = _jordan_wigner_tables(nso)
+
+    def ladder(p, create, src, cur, sign):
+        keep = occupied[p, cur] != create
+        cur = cur[keep]
+        return src[keep], cur ^ (1 << p), sign[keep] * jw_sign[p, cur]
 
     def so(i: int, sigma: int) -> int:
         return i + sigma * n
 
-    ham = sp.identity(dim, format="csr") * integrals.core_energy
+    matrix = np.zeros((dim, dim))
+    flat = matrix.reshape(-1)
+
+    def add(coeff, src, dst, sign):
+        flat[dst * dim + src] += coeff * sign
+
+    flat[::dim + 1] = integrals.core_energy
+    states = np.arange(dim, dtype=np.int64)
+    lowered = [ladder(p, False, states, states, np.ones(dim))
+               for p in range(nso)]
     for i in range(n):
         for j in range(n):
             hij = integrals.h1[i, j]
             if hij == 0.0:
                 continue
             for sigma in (0, 1):
-                ham = ham + hij * (raise_[so(i, sigma)] @ lower[so(j, sigma)])
+                add(hij, *ladder(so(i, sigma), True, *lowered[so(j, sigma)]))
 
     # right factors a_l a_j reused across the (i, k) loop
-    right: dict[tuple[int, int], sp.csr_matrix] = {}
-    for a in range(nso):
-        for b in range(nso):
-            right[(a, b)] = (lower[a] @ lower[b]).tocsr()
+    right = {(a, b): ladder(a, False, *lowered[b])
+             for a in range(nso) for b in range(nso)}
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -111,10 +138,9 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
                         continue
                     for sigma in (0, 1):
                         for rho in (0, 1):
-                            term = raise_[so(i, sigma)] @ (
-                                raise_[so(k, rho)] @ right[(so(l, rho), so(j, sigma))])
-                            ham = ham + coeff * term
-    matrix = np.asarray(ham.todense(), dtype=float)
+                            term = ladder(so(k, rho), True,
+                                          *right[(so(l, rho), so(j, sigma))])
+                            add(coeff, *ladder(so(i, sigma), True, *term))
     return FockMatrix(n_orb=n, matrix=matrix)
 
 
