@@ -43,21 +43,37 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
     else:
         with open(path) as handle:
             text = handle.read()
+    where = path or "the bundled table"
     rows = []
     reader = csv.DictReader(
         line for line in text.splitlines() if not line.startswith("#"))
-    with reading(path or "the bundled table"):
-        for record in reader:
+    with reading(where):
+        for number, record in enumerate(reader, start=1):
+            at = f"{where} row {number}"
             rows.append(ReportRow(
                 fragment=record["fragment"], basis=record["basis"],
                 n_orb=int(record["n_orb"]), n_logical=int(record["n_logical"]),
-                t_count=int(float(record["t_count"])),
+                t_count=int(_finite_cell(record, "t_count", at)),
                 distance=int(record["distance"]),
-                n_physical=float(record["n_physical"]),
+                n_physical=_finite_cell(record, "n_physical", at, positive=True),
                 n_factories=int(record["n_factories"]),
-                factory_qubits_total=float(record["factory_qubits_total"]),
-                runtime_s=float(record["runtime_s"])))
+                factory_qubits_total=_finite_cell(
+                    record, "factory_qubits_total", at),
+                runtime_s=_finite_cell(record, "runtime_s", at, positive=True)))
     return rows
+
+
+def _finite_cell(record: dict, key: str, where: str,
+                 positive: bool = False) -> float:
+    """The number in ``record[key]``; a non-finite one, or a non-positive
+    one where ``positive`` (the comparison divides by the published
+    n_physical and runtime), raises ValidationError naming ``where``."""
+    value = float(record[key])
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "a positive finite" if positive else "a finite"
+        raise ValidationError(
+            f"{where}: {key} must be {kind} number, got {record[key]!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -226,8 +242,10 @@ def fit_scaling(points) -> float:
     pts = [(float(n), float(t)) for n, t in points]
     if len(pts) < 2:
         raise ValidationError("need at least two points")
-    if any(n <= 0 or t <= 0 for n, t in pts):
-        raise ValidationError("points must be positive for a log-log fit")
+    for point in pts:
+        if not all(0 < value < math.inf for value in point):  # nan fails too
+            raise ValidationError("points must be positive and finite for a "
+                                  f"log-log fit, got {point}")
     xs = np.log([n for n, _ in pts])
     ys = np.log([t for _, t in pts])
     if np.ptp(xs) == 0.0:

@@ -404,3 +404,25 @@ def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == "parse" and str(path) in err["message"]
+
+
+@pytest.mark.parametrize("text, command", [
+    ("n_orb,t_count\n10,nan\n100,1e10\n20,1e7\n", "fit-scaling"),
+    ("n_orb,t_count\n10,inf\n100,1e10\n20,1e7\n", "fit-scaling"),
+    ("n_orb,t_count\nnan,1e5\n100,1e10\n20,1e7\n", "fit-scaling"),
+    (TABLE_HEADER + TABLE_ROW.replace("8.68e5", "0"), "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("2.31e5", "0"), "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("8.68e5", "nan"), "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "inf"), "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("2.40e5", "-inf"), "reproduce-table"),
+])
+def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "invalid-input"
+    if command == "reproduce-table":
+        assert f"{path} row 1:" in err["message"]

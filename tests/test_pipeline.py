@@ -90,6 +90,12 @@ class TestFitScaling:
         with pytest.raises(ValidationError):
             fit_scaling([(10, 1.0)])
 
+    @pytest.mark.parametrize("point", [(10, math.nan), (10, math.inf),
+                                       (math.nan, 1e5), (math.inf, 1e5)])
+    def test_rejects_non_finite(self, point):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_scaling([point, (100, 1e10), (20, 1e7)])
+
     def test_published_counts_exponent(self, reference_rows):
         points = [(row.n_orb, row.t_count) for row in reference_rows]
         exponent = fit_scaling(points)
