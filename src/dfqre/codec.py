@@ -6,6 +6,15 @@ written); arrays and tuples become lists, and None values are omitted.
 Decoding follows the annotations (int, float, str, dict, np.ndarray,
 tuple[X, ...], X | None, nested dataclasses) and names the dotted field of
 an unknown or missing key or a mistyped value, e.g. ``l.json.t_count``.
+
+``dumps`` writes exactly the text of ``json.dumps(..., indent=1)``. With an
+indent, json falls back to its pure-Python encoder, so a small layout
+writer walks dicts and lists of containers itself and hands each list of
+numbers (int, float, bool, None) to json's C encoder in one call, turning
+its ``", "`` separators into indented line breaks. Both encoders write a
+float as ``float.__repr__`` (and NaN, Infinity as json does), so the bytes
+are the same. A list holding a string takes the per-item path: a string
+may contain ``", "``.
 """
 
 from __future__ import annotations
@@ -50,8 +59,43 @@ def _encode(value):
     return data
 
 
+_C_ENCODER = json.JSONEncoder(check_circular=False)
+_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
+
+
 def dumps(obj) -> str:
-    return json.dumps(_encode(obj), indent=1)
+    parts = []
+    _layout(_encode(obj), "\n", parts)
+    return "".join(parts)
+
+
+def _layout(value, newline: str, parts: list) -> None:
+    """Append the ``json.dumps(value, indent=1)`` text of ``value``, whose
+    lines start with ``newline``, to ``parts``."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        parts.append(_C_ENCODER.encode(value))  # a scalar, [] or {}
+        return
+    inner = newline + " "
+    if isinstance(value, dict):
+        parts.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, (str, int, float, type(None))):
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            if not isinstance(key, str):
+                key = _C_ENCODER.encode(key)
+            parts.append(f"{',' if i else ''}{inner}{_C_ENCODER.encode(key)}: ")
+            _layout(item, inner, parts)
+        parts.append(newline + "}")
+    elif _NUMBER_TYPES.issuperset(map(type, value)):
+        text = _C_ENCODER.encode(value)
+        parts.append(f"[{inner}{text[1:-1].replace(', ', ',' + inner)}{newline}]")
+    else:
+        parts.append("[")
+        for i, item in enumerate(value):
+            parts.append(f"{',' if i else ''}{inner}")
+            _layout(item, inner, parts)
+        parts.append(newline + "]")
 
 
 def decode(cls, data, where: str, error=ParseError):

@@ -151,16 +151,6 @@ def unpack_pair_vector(vec: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Make the first significant component positive (tie-break rule)."""
-    scale = np.abs(vec).max()
-    if scale == 0.0:
-        return vec
-    significant = np.nonzero(np.abs(vec) > 1e-8 * scale)[0]
-    lead = significant[0] if len(significant) else int(np.argmax(np.abs(vec)))
-    return -vec if vec[lead] < 0 else vec
-
-
 def _truncate_by_magnitude(eigvals: np.ndarray, tol: float
                            ) -> tuple[np.ndarray, float]:
     """Indices to keep under the discarded-|eigenvalue| budget ``tol``.
@@ -214,18 +204,24 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
         eigvals_all, vecs_all = np.linalg.eigh(leaf_mats)
         if not np.isfinite(eigvals_all).all():
             raise NumericalError("non-finite stage-2 eigenvalues")
+        # Sign rule: the first component above 1e-8 of a vector's largest
+        # magnitude is positive. rows_all[r, m] is eigenvector m of leaf r.
+        rows_all = vecs_all.transpose(0, 2, 1)
+        mags = np.abs(rows_all)
+        lead = np.argmax(mags > 1e-8 * mags.max(axis=2, keepdims=True), axis=2)
+        flip = np.take_along_axis(rows_all, lead[..., None], axis=2) < 0
+        rows_all = np.where(flip, -rows_all, rows_all)
 
     leaves = []
     for rank_pos, idx in enumerate(kept):
         c_r = float(weights[idx])
-        eigvals, vecs = eigvals_all[rank_pos], vecs_all[rank_pos]
+        eigvals = eigvals_all[rank_pos]
         keep_m, dropped = _truncate_by_magnitude(eigvals, tol_second)
         # rank-1 update bound: || vLv^T - v'L'v'^T ||_2 <= 2 |c_r| ||dL||_F
         bound += 2.0 * abs(c_r) * dropped
-        rows = np.stack([_fix_sign(vecs[:, m]) for m in keep_m]) \
-            if len(keep_m) else np.zeros((0, n))
         leaves.append(DFLeaf(index=rank_pos, weight=c_r,
-                             eigvals=eigvals[keep_m], vecs=rows))
+                             eigvals=eigvals[keep_m],
+                             vecs=rows_all[rank_pos][keep_m]))
 
     h_bar = integrals.h1 - 0.5 * np.einsum("illj->ij", integrals.h2)
     h_bar = (h_bar + h_bar.T) / 2.0

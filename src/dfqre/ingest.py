@@ -55,6 +55,9 @@ DUPLICATE_TOL = 1e-10
 # Integral-file lines read and tokenized at a time: bounds the Python
 # strings alive at once, so memory grows with the record count only.
 _BLOCK_LINES = 8192
+# Index tokens up to this are read by table lookup (see _convert); the cap
+# keeps a header's orbital count alone from sizing the table.
+_INDEX_TABLE_MAX = 4096
 # Line breaks of str.splitlines() besides "\n"; folded into "\n" so that
 # reported line numbers count every break it counts.
 _LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
@@ -233,8 +236,9 @@ def parse_integrals(text: str) -> IntegralSet:
     values, lines = np.empty(size), np.empty(size, dtype=np.int64)
     indices = np.empty((4, size), dtype=np.int64)
     count, error = 0, None
+    table = {str(i): i for i in range(min(n_orb, _INDEX_TABLE_MAX) + 1)}
     for block in iter(lambda: list(itertools.islice(stream, _BLOCK_LINES)), []):
-        vals, idx, nos, error = _read_block(block, no + 1, n_orb)
+        vals, idx, nos, error = _read_block(block, no + 1, n_orb, table)
         end = count + len(vals)
         values[count:end], indices[:, count:end], lines[count:end] = vals, idx, nos
         count, no = end, no + len(block)
@@ -301,7 +305,7 @@ def _read_header(stream) -> tuple[int, int]:
     return n_orb, no
 
 
-def _read_block(block: list[str], first_no: int, n_orb: int):
+def _read_block(block: list[str], first_no: int, n_orb: int, table: dict):
     """Values, (4, n) indices and line numbers of a block's records before
     its first line that fails a per-line check, and that line's error."""
     fields = [raw.split("#", 1)[0].split() for raw in block]
@@ -309,7 +313,7 @@ def _read_block(block: list[str], first_no: int, n_orb: int):
     keep = np.flatnonzero(widths)
     try:
         if (widths[keep] == 5).all():
-            values, indices = _convert([fields[pos] for pos in keep.tolist()])
+            values, indices = _convert([fields[pos] for pos in keep.tolist()], table)
             zero, outside = indices == 0, (indices < 1) | (indices > n_orb)
             h1 = zero[2] & zero[3] & ~(zero[0] & zero[1])
             h2 = ~(zero[2] & zero[3])  # a zero index is outside too: mixed zero
@@ -322,18 +326,27 @@ def _read_block(block: list[str], first_no: int, n_orb: int):
     errors = (_line_error(block[pos], first_no + pos, n_orb) for pos in keep.tolist())
     stop, error = next(((n, e) for n, e in enumerate(errors) if e), (len(keep), None))
     keep = keep[:stop]
-    return *_convert([fields[pos] for pos in keep.tolist()]), keep + first_no, error
+    rows = [fields[pos] for pos in keep.tolist()]
+    return *_convert(rows, table), keep + first_no, error
 
 
-def _convert(rows: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
+def _convert(rows: list[list[str]], table: dict
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Value and (4, n) index arrays of five-field records. Fields are
-    picked by map(list.__getitem__), with no token list built per block."""
+    picked by map(list.__getitem__), with no token list built per block.
+    Index tokens are looked up in ``table`` (``str(i)`` to ``i``); a token
+    it lacks (``"01"``, ``"+1"``, out of range) sends the block to int()."""
     def field(k):
         return map(list.__getitem__, rows, itertools.repeat(k))
+    def indices(convert):
+        tokens = itertools.chain.from_iterable(field(slice(1, 5)))
+        return np.fromiter(map(convert, tokens), np.int64, 4 * len(rows))
     values = np.fromiter(map(float, field(0)), float, len(rows))
-    tokens = itertools.chain.from_iterable(field(slice(1, 5)))
-    indices = np.fromiter(map(int, tokens), np.int64, 4 * len(rows))
-    return values, indices.reshape(-1, 4).T
+    try:
+        found = indices(table.__getitem__)
+    except KeyError:
+        found = indices(int)
+    return values, found.reshape(-1, 4).T
 
 
 def _line_error(raw: str, no: int, n_orb: int) -> ParseError | None:

@@ -53,7 +53,7 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
             rows.append(ReportRow(
                 fragment=record["fragment"], basis=record["basis"],
                 n_orb=int(record["n_orb"]), n_logical=int(record["n_logical"]),
-                t_count=int(_finite_cell(record, "t_count", at)),
+                t_count=int(_finite_cell(record, "t_count", at, integral=True)),
                 distance=int(record["distance"]),
                 n_physical=_finite_cell(record, "n_physical", at, positive=True),
                 n_factories=int(record["n_factories"]),
@@ -63,16 +63,19 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
     return rows
 
 
-def _finite_cell(record: dict, key: str, where: str,
-                 positive: bool = False) -> float:
-    """The number in ``record[key]``; a non-finite one, or a non-positive
-    one where ``positive`` (the comparison divides by the published
-    n_physical and runtime), raises ValidationError naming ``where``."""
+def _finite_cell(record: dict, key: str, where: str, positive: bool = False,
+                 integral: bool = False) -> float:
+    """The number in ``record[key]``; a non-finite one, a non-positive one
+    where ``positive`` (the comparison divides by the published n_physical
+    and runtime), or a fractional one where ``integral`` (``4.00e10`` is
+    integral) raises ValidationError naming ``where``."""
     value = float(record[key])
-    if not math.isfinite(value) or (positive and value <= 0):
-        kind = "a positive finite" if positive else "a finite"
+    if not math.isfinite(value) or (positive and value <= 0) \
+            or (integral and not value.is_integer()):
+        kind = ("an integer" if integral else "a positive finite number"
+                if positive else "a finite number")
         raise ValidationError(
-            f"{where}: {key} must be {kind} number, got {record[key]!r}")
+            f"{where}: {key} must be {kind}, got {record[key]!r}")
     return value
 
 

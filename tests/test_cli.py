@@ -415,6 +415,8 @@ def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     (TABLE_HEADER + TABLE_ROW.replace("8.68e5", "nan"), "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "inf"), "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace("2.40e5", "-inf"), "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "40000000000.7"),
+     "reproduce-table"),
 ])
 def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
     path = tmp_path / "bad.csv"

@@ -1,15 +1,20 @@
-"""Properties of the JSON codec: the decomposition survives a round trip
-byte for byte, and a value of the wrong JSON type in any field of a logical
+"""Properties of the JSON codec: its writer gives the bytes of
+``json.dumps(..., indent=1)``, the decomposition survives a round trip byte
+for byte, and a value of the wrong JSON type in any field of a logical
 estimate or a config section exits 1 with its documented category."""
 
 import json
+from importlib import resources
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dfqre import codec
 from dfqre.cli import main
 from dfqre.dfact import DFDecomposition, factorize
-from dfqre.ingest import SyntheticSpec, gen_synthetic
+from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_xyz
+from dfqre.logicalcost import estimate_logical
+from dfqre.physcost import estimate_physical
 
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
            "qpe_steps": 10**6, "lambda": 5.0,
@@ -119,3 +124,42 @@ def test_decomposition_round_trip(n_orb, data):
     df = factorize(gen_synthetic(spec), data.draw(tol), data.draw(tol))
     text = df.dumps()
     assert DFDecomposition.loads(text).dumps() == text
+
+
+# _encode's output types: what a field turns into, and what a dict field
+# (passed as it stands) may hold
+NUMBERS = st.one_of(st.booleans(), st.integers(), st.integers(-10**30, 10**30),
+                    st.floats(), st.sampled_from([-0.0, float("nan"),
+                                                  float("inf"), -float("inf")]))
+STRINGS = st.one_of(st.text(max_size=6),
+                    st.sampled_from([", ", "[", "a, b", "]", "é, ü", "\u2028"]))
+JSON_TREES = st.recursive(
+    st.one_of(st.none(), NUMBERS, STRINGS, st.lists(NUMBERS, max_size=6)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(STRINGS, children, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=JSON_TREES)
+def test_dumps_layout_matches_json_indent(tree):
+    doc = {"value": tree}  # a dict is encoded as it stands, None included
+    assert codec.dumps(doc) == json.dumps(codec._encode(doc), indent=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(NUMBERS, STRINGS, st.lists(NUMBERS, max_size=6),
+                       st.lists(st.lists(NUMBERS, max_size=3), max_size=3)))
+def test_dumps_layout_matches_json_indent_at_top_level(value):
+    assert codec.dumps(value) == json.dumps(codec._encode(value), indent=1)
+
+
+def test_dumps_matches_json_indent_on_written_documents():
+    df = factorize(gen_synthetic(SyntheticSpec(n_orb=4, rank=10, seed=3)),
+                   1e-3, 1e-3)
+    logical = estimate_logical(df)
+    geometry = parse_xyz(resources.files("dfqre.data").joinpath(
+        "geometries").joinpath("fragment_01.xyz").read_text())
+    for doc in (df, logical, geometry,
+                estimate_physical(logical.n_logical_qubits, logical.t_count)):
+        assert codec.dumps(doc) == json.dumps(codec._encode(doc), indent=1)

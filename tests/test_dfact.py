@@ -23,6 +23,24 @@ def single_h2_entry(n, value):
     return IntegralSet(n, 0.0, np.zeros((n, n)), h2)
 
 
+def reference_fix_sign(vec):
+    """Per-vector sign rule, as factorize applied it before signs were fixed
+    in one batch: the first component above 1e-8 of the largest magnitude
+    is made positive."""
+    scale = np.abs(vec).max()
+    if scale == 0.0:
+        return vec
+    significant = np.nonzero(np.abs(vec) > 1e-8 * scale)[0]
+    lead = significant[0] if len(significant) else int(np.argmax(np.abs(vec)))
+    return -vec if vec[lead] < 0 else vec
+
+
+def assert_signs_match_reference(df):
+    for leaf in df.leaves:
+        expected = np.array([reference_fix_sign(row) for row in leaf.vecs])
+        assert np.array_equal(leaf.vecs, expected.reshape(leaf.vecs.shape))
+
+
 class TestFactorize:
     def test_recovers_generator_rank(self):
         ints = make_set(4, 3, seed=1)
@@ -68,6 +86,39 @@ class TestFactorize:
                 lead = np.nonzero(np.abs(row) > 1e-8 * np.abs(row).max())[0][0]
                 assert row[lead] > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_signs_match_per_vector_reference(self, n_orb, data):
+        rank = data.draw(st.integers(0, n_orb * (n_orb + 1) // 2))
+        tols = st.sampled_from([0.0, 1e-6, 1e-3, 1e-1, 1.0])
+        ints = make_set(n_orb, rank, seed=data.draw(st.integers(0, 2**32)),
+                        magnitude=data.draw(st.floats(1e-3, 1e3)))
+        assert_signs_match_reference(
+            factorize(ints, data.draw(tols), data.draw(tols)))
+
+    def test_signs_match_reference_on_degenerate_leaves(self):
+        # zero tensor: no leaves; (11|11) alone: a rank-1 leaf whose other
+        # eigenvalues are exactly zero
+        assert factorize(make_set(3, 0, seed=2)).n_leaves == 0
+        df = factorize(single_h2_entry(3, -0.8))
+        assert df.n_leaves == 1
+        assert_signs_match_reference(df)
+
+    def test_sign_lead_below_threshold_is_skipped(self):
+        # a leaf with eigenvector (-1e-9, 0.6, -0.8): its largest entry is
+        # negative and its first is below 1e-8 of it, so the lead is the
+        # 0.6 and the vector keeps its sign; leading with the first entry or
+        # with the largest would flip it
+        v = np.array([-1e-9, 0.6, -0.8])
+        leaf = np.outer(v, v) / (v @ v)
+        h2 = np.einsum("ij,kl->ijkl", leaf, leaf)
+        df = factorize(IntegralSet(3, 0.0, np.zeros((3, 3)), h2))
+        assert df.n_leaves == 1 and df.leaves[0].n_eigs == 1
+        row = df.leaves[0].vecs[0]
+        np.testing.assert_allclose(row, v / np.linalg.norm(v), atol=1e-12)
+        assert row[0] < 0
+        assert_signs_match_reference(df)
+
     def test_determinism_byte_exact(self):
         ints = make_set(5, 9, seed=6)
         assert factorize(ints).dumps() == factorize(ints).dumps()
@@ -105,6 +156,16 @@ class TestFactorize:
         ints = make_set(n_orb, rank, seed=data.draw(st.integers(0, 2**32)))
         df = factorize(ints, data.draw(tols), data.draw(tols))
         assert df.truncation_bound >= 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_truncation_bound_is_sound(self, n_orb, data):
+        rank = data.draw(st.integers(0, n_orb * (n_orb + 1) // 2))
+        tols = st.floats(1e-4, 1.0)
+        ints = make_set(n_orb, rank, seed=data.draw(st.integers(0, 2**32)))
+        df = factorize(ints, data.draw(tols), data.draw(tols))
+        delta = pack_pair_matrix(ints.h2 - reconstruct(df))
+        assert np.linalg.norm(delta, 2) <= df.truncation_bound + 1e-12
 
     @pytest.mark.parametrize("n_orb", [2, 4, 6])
     def test_exact_factorization_has_zero_bound(self, n_orb):

@@ -201,6 +201,18 @@ class TestDfEquivalence:
                            match=f"cap of {FOCK_MAX_ORBITALS}$"):
             fock_matrix_of_decomposition(df)
 
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_particle_number_blocks_exactly_zero(self, n_orb):
+        full = n_orb * (n_orb + 1) // 2
+        for seed in range(3):
+            ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
+                                               seed=50 + seed))
+            for tol in (0.0, 1e-2):
+                fock = fock_matrix_of_decomposition(factorize(ints, tol, tol))
+                number = fock.number_operator()
+                coupling = fock.matrix[number[:, None] != number[None, :]]
+                assert coupling.size and np.all(coupling == 0.0)
+
     def test_zero_tensor_exact(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=0, seed=5))
         df = factorize(ints)
