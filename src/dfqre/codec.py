@@ -10,11 +10,12 @@ an unknown or missing key or a mistyped value, e.g. ``l.json.t_count``.
 ``dumps`` writes exactly the text of ``json.dumps(..., indent=1)``. With an
 indent, json falls back to its pure-Python encoder, so a small layout
 writer walks dicts and lists of containers itself and hands each list of
-numbers (int, float, bool, None) to json's C encoder in one call, turning
-its ``", "`` separators into indented line breaks. Both encoders write a
-float as ``float.__repr__`` (and NaN, Infinity as json does), so the bytes
-are the same. A list holding a string takes the per-item path: a string
-may contain ``", "``.
+numbers (items of type int, float, bool or None exactly) to json's C
+encoder in one call, turning its ``", "`` separators into indented line
+breaks. Both encoders write a float as ``float.__repr__`` (and NaN,
+Infinity as json does), so the bytes are the same. Only number lists take
+this path: a string may contain ``", "``, so a list holding one is written
+item by item.
 """
 
 from __future__ import annotations
@@ -79,12 +80,9 @@ def _layout(value, newline: str, parts: list) -> None:
     if isinstance(value, dict):
         parts.append("{")
         for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, (str, int, float, type(None))):
-                raise TypeError(f"keys must be str, int, float, bool or None, "
-                                f"not {type(key).__name__}")
-            if not isinstance(key, str):
-                key = _C_ENCODER.encode(key)
-            parts.append(f"{',' if i else ''}{inner}{_C_ENCODER.encode(key)}: ")
+            # the key as json writes it, a non-string one turned to text
+            key = _C_ENCODER.encode({key: 0})[1:-4]
+            parts.append(f"{',' if i else ''}{inner}{key}: ")
             _layout(item, inner, parts)
         parts.append(newline + "}")
     elif _NUMBER_TYPES.issuperset(map(type, value)):

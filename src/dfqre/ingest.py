@@ -326,8 +326,8 @@ def _read_block(block: list[str], first_no: int, n_orb: int, table: dict):
     errors = (_line_error(block[pos], first_no + pos, n_orb) for pos in keep.tolist())
     stop, error = next(((n, e) for n, e in enumerate(errors) if e), (len(keep), None))
     keep = keep[:stop]
-    rows = [fields[pos] for pos in keep.tolist()]
-    return *_convert(rows, table), keep + first_no, error
+    return (*_convert([fields[pos] for pos in keep.tolist()], table),
+            keep + first_no, error)
 
 
 def _convert(rows: list[list[str]], table: dict

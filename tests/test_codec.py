@@ -136,7 +136,9 @@ STRINGS = st.one_of(st.text(max_size=6),
 JSON_TREES = st.recursive(
     st.one_of(st.none(), NUMBERS, STRINGS, st.lists(NUMBERS, max_size=6)),
     lambda children: st.one_of(st.lists(children, max_size=4),
-                               st.dictionaries(STRINGS, children, max_size=4)),
+                               st.dictionaries(st.one_of(STRINGS, NUMBERS,
+                                                         st.none()),
+                                               children, max_size=4)),
     max_leaves=40)
 
 

@@ -416,6 +416,16 @@ class TestBlockParserEquivalence:
                            r"\(previous at line 5\)"):
             parse_integrals(text + "0.25000000016 1 1 0 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "NORB 2\n0.5 \u0661 1 0 0\n0.25 \uff12 2 1 1\n",  # non-ASCII digits
+        "NORB 2\n0.5 01 +1 0 0\n0.25 2 2 1 1\n",
+        # indices past the lookup table's cap go through int() too
+        f"NORB {ingest._INDEX_TABLE_MAX + 10}\n0.5 {ingest._INDEX_TABLE_MAX + 5}"
+        f" {ingest._INDEX_TABLE_MAX + 5} 0 0\n0.1 1 1\n",
+    ])
+    def test_index_tokens_outside_lookup_table(self, text):
+        assert_same_as_reference(text)
+
     def test_serialized_files_bit_identical(self):
         for seed in range(3):
             ints = gen_synthetic(SyntheticSpec(n_orb=4, rank=6, seed=seed))
