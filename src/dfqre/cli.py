@@ -31,7 +31,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -161,14 +160,11 @@ def _cmd_parse_xyz(args):
 
 def _cmd_factorize(args):
     integrals = ingest.parse_integrals(Path(args.integrals).read_text())
-    if args.eps is not None:
-        if args.tol_first is not None or args.tol_second is not None:
-            raise ValidationError("--eps excludes --tol-first/--tol-second")
-        tol_first, tol_second = dfact.choose_tolerances(integrals, args.eps)
-    else:
-        tol_first = args.tol_first or 0.0
-        tol_second = args.tol_second or 0.0
-    df = dfact.factorize(integrals, tol_first, tol_second)
+    if args.eps is not None and (args.tol_first is not None
+                                 or args.tol_second is not None):
+        raise ValidationError("--eps excludes --tol-first/--tol-second")
+    df = dfact.factorize(integrals, args.tol_first or 0.0,
+                         args.tol_second or 0.0, eps_target=args.eps)
     _emit(df.dumps(), args.output)
     lam_t, lam_v, lam = dfact.lambda_norms(df)
     print(f"# leaves={df.n_leaves} total_eigs={df.total_leaf_eigs} "
@@ -207,18 +203,12 @@ def _cmd_estimate_physical(args):
 
 
 def _exact_count(text: str) -> int:
-    """An integer literal, or a finite float literal with an integral value."""
+    """``pipeline.exact_integer``, with text that is no number invalid too."""
     try:
-        return int(text)
+        return pipeline.exact_integer(text, "--tcount")
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value.is_integer():  # also false for nan and infinities
-        raise ValidationError(f"--tcount must be an integer, got {text!r}")
-    return int(value)
+        raise ValidationError(
+            f"--tcount must be an integer, got {text!r}") from None
 
 
 def _cmd_reproduce_table(args):

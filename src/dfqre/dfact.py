@@ -141,16 +141,6 @@ def pack_pair_matrix(h2: np.ndarray) -> np.ndarray:
     return v * w[:, None] * w[None, :]
 
 
-def unpack_pair_vector(vec: np.ndarray, n: int) -> np.ndarray:
-    """Invert pack_pair_matrix's vector isometry to a symmetric matrix."""
-    iu, ju, w = _pair_indices(n)
-    mat = np.zeros((n, n))
-    vals = vec / w
-    mat[iu, ju] = vals
-    mat[ju, iu] = vals
-    return mat
-
-
 def _truncate_by_magnitude(eigvals: np.ndarray, tol: float
                            ) -> tuple[np.ndarray, float]:
     """Indices to keep under the discarded-|eigenvalue| budget ``tol``.
@@ -176,41 +166,49 @@ def _truncate_by_magnitude(eigvals: np.ndarray, tol: float
 
 
 def factorize(integrals: IntegralSet, tol_first: float = 0.0,
-              tol_second: float = 0.0) -> DFDecomposition:
+              tol_second: float = 0.0, *,
+              eps_target: float | None = None) -> DFDecomposition:
     """Double-factorize an IntegralSet.
 
     Leaves are kept while the total discarded first-stage |eigenvalue| mass
     stays within ``tol_first``; each leaf's spectrum is truncated under the
-    analogous per-leaf ``tol_second`` rule. Output ordering (leaves by
-    |weight| descending, eigenvectors with leading component positive)
-    makes the result deterministic.
+    analogous per-leaf ``tol_second`` rule. ``eps_target`` sets both
+    tolerances instead, by ``choose_tolerances`` on the spectrum truncated
+    here. Output ordering (leaves by |weight| descending, eigenvectors with
+    leading component positive) makes the result deterministic.
     """
-    if not (tol_first >= 0 and tol_second >= 0):
+    if eps_target is not None:
+        if tol_first or tol_second:
+            raise ValidationError("eps_target excludes tol_first/tol_second")
+        _check_eps_target(eps_target)
+    elif not (tol_first >= 0 and tol_second >= 0):
         raise ValidationError("tolerances must be non-negative")
     n = integrals.n_orb
 
-    pair_matrix = pack_pair_matrix(integrals.h2)
-    weights, pair_vecs = np.linalg.eigh(pair_matrix)
+    weights, pair_vecs = np.linalg.eigh(pack_pair_matrix(integrals.h2))
     if not np.isfinite(weights).all():
         raise NumericalError("non-finite stage-1 eigenvalues")
+    if eps_target is not None:
+        tol_first, tol_second = choose_tolerances(weights, eps_target)
 
-    kept, discarded_mass = _truncate_by_magnitude(weights, tol_first)
-    bound = discarded_mass
+    kept, bound = _truncate_by_magnitude(weights, tol_first)
 
-    leaf_mats = np.stack(
-        [unpack_pair_vector(pair_vecs[:, idx], n) for idx in kept]
-    ) if len(kept) else np.zeros((0, n, n))
-    if len(kept):
-        eigvals_all, vecs_all = np.linalg.eigh(leaf_mats)
-        if not np.isfinite(eigvals_all).all():
-            raise NumericalError("non-finite stage-2 eigenvalues")
-        # Sign rule: the first component above 1e-8 of a vector's largest
-        # magnitude is positive. rows_all[r, m] is eigenvector m of leaf r.
-        rows_all = vecs_all.transpose(0, 2, 1)
-        mags = np.abs(rows_all)
-        lead = np.argmax(mags > 1e-8 * mags.max(axis=2, keepdims=True), axis=2)
-        flip = np.take_along_axis(rows_all, lead[..., None], axis=2) < 0
-        rows_all = np.where(flip, -rows_all, rows_all)
+    # Invert the packing isometry for every kept stage-1 vector at once.
+    iu, ju, w = _pair_indices(n)
+    leaf_mats = np.zeros((len(kept), n, n))
+    vals = (pair_vecs[:, kept] / w[:, None]).T
+    leaf_mats[:, iu, ju] = vals
+    leaf_mats[:, ju, iu] = vals
+    eigvals_all, vecs_all = np.linalg.eigh(leaf_mats)
+    if not np.isfinite(eigvals_all).all():
+        raise NumericalError("non-finite stage-2 eigenvalues")
+    # Sign rule: the first component above 1e-8 of a vector's largest
+    # magnitude is positive. rows_all[r, m] is eigenvector m of leaf r.
+    rows_all = vecs_all.transpose(0, 2, 1)
+    mags = np.abs(rows_all)
+    lead = np.argmax(mags > 1e-8 * mags.max(axis=2, keepdims=True), axis=2)
+    flip = np.take_along_axis(rows_all, lead[..., None], axis=2) < 0
+    rows_all = np.where(flip, -rows_all, rows_all)
 
     leaves = []
     for rank_pos, idx in enumerate(kept):
@@ -272,20 +270,20 @@ def qpe_energy_offset(df: DFDecomposition) -> float:
     return df.core_energy + float(np.trace(df.h_bar))
 
 
-def choose_tolerances(integrals: IntegralSet, eps_target: float
+def choose_tolerances(weights: np.ndarray, eps_target: float
                       ) -> tuple[float, float]:
     """Equal-split truncation tolerances meeting ``eps_target``.
 
     Returns tol_first = tol_second = t such that the rigorous deviation
     bound t*(1 + 2*S) stays below eps_target/2, where S is the total
-    first-stage |eigenvalue| mass. The other half of eps_target is left
-    for phase estimation.
+    |eigenvalue| mass of ``weights``, the stage-1 spectrum ``factorize``
+    truncates. The other half of eps_target is left for phase estimation.
     """
+    _check_eps_target(eps_target)
+    t = (eps_target / 2.0) / (1.0 + 2.0 * float(np.abs(weights).sum()))
+    return (t, t)
+
+
+def _check_eps_target(eps_target: float) -> None:
     if not eps_target > 0:
         raise ValidationError("eps_target must be positive")
-    if math.isinf(eps_target):
-        return (math.inf, math.inf)
-    weights = np.linalg.eigvalsh(pack_pair_matrix(integrals.h2))
-    total_mass = float(np.abs(weights).sum())
-    t = (eps_target / 2.0) / (1.0 + 2.0 * total_mass)
-    return (t, t)

@@ -53,7 +53,7 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
             rows.append(ReportRow(
                 fragment=record["fragment"], basis=record["basis"],
                 n_orb=int(record["n_orb"]), n_logical=int(record["n_logical"]),
-                t_count=int(_finite_cell(record, "t_count", at, integral=True)),
+                t_count=exact_integer(record["t_count"], f"{at}: t_count"),
                 distance=int(record["distance"]),
                 n_physical=_finite_cell(record, "n_physical", at, positive=True),
                 n_factories=int(record["n_factories"]),
@@ -63,20 +63,30 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
     return rows
 
 
-def _finite_cell(record: dict, key: str, where: str, positive: bool = False,
-                 integral: bool = False) -> float:
-    """The number in ``record[key]``; a non-finite one, a non-positive one
-    where ``positive`` (the comparison divides by the published n_physical
-    and runtime), or a fractional one where ``integral`` (``4.00e10`` is
-    integral) raises ValidationError naming ``where``."""
+def _finite_cell(record: dict, key: str, where: str,
+                 positive: bool = False) -> float:
+    """The number in ``record[key]``; a non-finite one, or a non-positive
+    one where ``positive`` (the comparison divides by the published
+    n_physical and runtime), raises ValidationError naming ``where``."""
     value = float(record[key])
-    if not math.isfinite(value) or (positive and value <= 0) \
-            or (integral and not value.is_integer()):
-        kind = ("an integer" if integral else "a positive finite number"
-                if positive else "a finite number")
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "a positive finite number" if positive else "a finite number"
         raise ValidationError(
             f"{where}: {key} must be {kind}, got {record[key]!r}")
     return value
+
+
+def exact_integer(text: str, what: str) -> int:
+    """``text`` as an exact int: an integer literal, or a float literal of
+    integral value (``4.00e10``). A fractional or non-finite number raises
+    ValidationError naming ``what``; text that is no number, ValueError."""
+    value = float(text)  # inf for an integer past the float range too
+    if not value.is_integer():  # also false for nan and infinities
+        raise ValidationError(f"{what} must be an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # a float literal such as 4.00e10
+        return int(value)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ class FockMatrix:
         return 1 << (2 * self.n_orb)
 
     def number_operator(self) -> np.ndarray:
-        states = np.arange(self.dim)
-        return np.array([bin(s).count("1") for s in states], dtype=float)
+        occupied, _ = _jordan_wigner_tables(2 * self.n_orb)
+        return occupied.sum(axis=0, dtype=float)
 
 
 def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:

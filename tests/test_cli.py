@@ -2,6 +2,7 @@ import hashlib
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from dfqre.cli import main
@@ -217,12 +218,51 @@ def test_tcount_parsed_exactly(capsys):
     assert json.loads(capsys.readouterr().out)["cycles"] == 117 * 10**12
 
 
-@pytest.mark.parametrize("tcount", ["nan", "inf", "-inf", "1.5", "abc", ""])
+@pytest.mark.parametrize("tcount", ["nan", "inf", "-inf", "1.5", "abc", "",
+                                    "1" + "0" * 400])
 def test_tcount_rejects_non_integers(tcount, capsys):
     assert main(["estimate-physical", "--qubits", "10",
                  f"--tcount={tcount}"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-input"
+
+
+def test_factorize_eps_runs_one_pair_eigendecomposition(
+        tmp_path, integral_file, capsys, monkeypatch):
+    pair_dim = 3 * 4 // 2  # the fixture has n_orb = 3
+    pair_calls = []
+
+    def counting(name, solver):
+        def wrapped(a, *args, **kwargs):
+            if a.shape == (pair_dim, pair_dim):
+                pair_calls.append(name)
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    assert main(["factorize", str(integral_file), "--eps", "1e-3",
+                 "-o", str(tmp_path / "df.json")]) == 0
+    assert pair_calls == ["eigh"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps=0"], "eps_target must be positive"),
+    (["--eps=nan"], "eps_target must be positive"),
+    (["--eps=-1e-3"], "eps_target must be positive"),
+    (["--eps=1e-3", "--tol-first=0"],
+     "--eps excludes --tol-first/--tol-second"),
+    (["--eps=1e-3", "--tol-second=1e-4"],
+     "--eps excludes --tol-first/--tol-second"),
+])
+def test_factorize_bad_eps_reports_invalid_input(integral_file, capsys,
+                                                 flags, message):
+    assert main(["factorize", str(integral_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "invalid-input",
+                                        "message": message}
 
 
 def _decomposition_dict(tmp_path, integral_file, capsys):
@@ -390,6 +430,15 @@ TABLE_HEADER = ("fragment,basis,n_orb,n_logical,t_count,distance,n_physical,"
 TABLE_ROW = "8,sto-3g,23,661,4.00e10,15,8.68e5,15,2.40e5,2.31e5\n"
 
 
+def test_table_t_count_read_exactly(tmp_path, capsys):
+    # 2**53 + 1 is the first integer a float cannot hold
+    path, out = tmp_path / "table.csv", tmp_path / "out.csv"
+    path.write_text(TABLE_HEADER + TABLE_ROW.replace("4.00e10",
+                                                     str(2**53 + 1)))
+    assert main(["reproduce-table", str(path), "--csv", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[3] == str(2**53 + 1)
+
+
 @pytest.mark.parametrize("text, command", [
     ("n_orb,tcount\n10,1e5\n100,1e10\n", "fit-scaling"),
     ("n_orb,t_count\n10,abc\n100,1e10\n", "fit-scaling"),
@@ -416,6 +465,8 @@ def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "inf"), "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace("2.40e5", "-inf"), "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "40000000000.7"),
+     "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "1" + "0" * 400),
      "reproduce-table"),
 ])
 def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):

@@ -253,37 +253,73 @@ class TestLambdaNorms:
         assert lam == pytest.approx(norm, abs=1e-12)
 
 
+def stage1_weights(ints):
+    return np.linalg.eigh(pack_pair_matrix(ints.h2))[0]
+
+
 class TestChooseTolerances:
     def test_exact_rank_recovery(self):
         ints = make_set(4, 3, seed=13)
-        tol_first, tol_second = choose_tolerances(ints, 1e-3)
-        df = factorize(ints, tol_first, tol_second)
+        df = factorize(ints, eps_target=1e-3)
         assert df.n_leaves == 3
         assert np.abs(reconstruct(df) - ints.h2).max() <= 1e-10
 
     def test_infinite_target(self):
-        tols = choose_tolerances(make_set(3, 2, seed=1), float("inf"))
+        ints = make_set(3, 2, seed=1)
+        tols = choose_tolerances(stage1_weights(ints), float("inf"))
         assert tols == (float("inf"), float("inf"))
+        df = factorize(ints, eps_target=float("inf"))
+        assert (df.tol_first, df.tol_second) == tols
 
     def test_monotone_in_eps(self):
-        ints = make_set(4, 8, seed=14)
+        weights = stage1_weights(make_set(4, 8, seed=14))
         eps_values = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-        tols = [choose_tolerances(ints, eps)[0] for eps in eps_values]
+        tols = [choose_tolerances(weights, eps)[0] for eps in eps_values]
         assert tols == sorted(tols, reverse=True)
 
     def test_equal_split(self):
-        tol_first, tol_second = choose_tolerances(make_set(3, 3), 1e-3)
+        weights = stage1_weights(make_set(3, 3))
+        tol_first, tol_second = choose_tolerances(weights, 1e-3)
         assert tol_first == tol_second
+        assert tol_first == 1e-3 / 2 / (1 + 2 * np.abs(weights).sum())
 
     def test_bound_respected_after_truncation(self):
-        ints = make_set(5, 15, seed=15)
-        tol_first, tol_second = choose_tolerances(ints, 1e-3)
-        df = factorize(ints, tol_first, tol_second)
+        df = factorize(make_set(5, 15, seed=15), eps_target=1e-3)
         assert df.truncation_bound <= 1e-3 / 2 + 1e-15
 
     def test_rejects_bad_target(self):
-        with pytest.raises(ValidationError):
-            choose_tolerances(make_set(2, 1), 0.0)
+        weights = stage1_weights(make_set(2, 1))
+        for eps in (0.0, float("nan"), -1e-3):
+            with pytest.raises(ValidationError, match="eps_target"):
+                choose_tolerances(weights, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, float("nan"), -1e-3])
+    def test_factorize_rejects_bad_target_before_eigh(self, eps,
+                                                      monkeypatch):
+        ints = make_set(2, 1)
+
+        def no_eigh(*args):
+            raise AssertionError("eigh ran before eps_target was checked")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(ValidationError,
+                           match="^eps_target must be positive$"):
+            factorize(ints, eps_target=eps)
+
+    @pytest.mark.parametrize("tols", [(1e-3, 0.0), (0.0, 1e-3)])
+    def test_eps_target_excludes_tolerances(self, tols):
+        with pytest.raises(ValidationError, match="excludes"):
+            factorize(make_set(2, 1), *tols, eps_target=1e-3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_eps_target_matches_explicit_tolerances(self, n_orb, data):
+        rank = data.draw(st.integers(0, n_orb * (n_orb + 1) // 2))
+        eps = data.draw(st.floats(1e-4, 1.0))
+        ints = make_set(n_orb, rank, seed=data.draw(st.integers(0, 2**32)))
+        t = choose_tolerances(stage1_weights(ints), eps)[0]
+        df = factorize(ints, eps_target=eps)
+        assert df.dumps() == factorize(ints, t, t).dumps()
+        assert df.truncation_bound <= eps / 2 + 1e-15
 
 
 @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5, 6])
