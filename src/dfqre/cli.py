@@ -181,7 +181,8 @@ def _cmd_estimate_logical(args):
 def _emit(text: str, path: str | None):
     """Write ``text`` and a newline to ``path``, or print it."""
     if path:
-        Path(path).write_text(text + "\n")
+        with open(path, "w") as out:
+            print(text, file=out)  # no second copy of a large document
     else:
         print(text)
 

@@ -26,9 +26,13 @@ latest one before it, the last one supplying the value.
 A bad file raises the ParseError of its first offending line in file
 order, with that line's number. On one line the checks run as listed:
 field count, number syntax, finiteness, index bounds or mixed zero/nonzero
-indices, then the duplicate rule ("previous at line N"). Records are read
-in blocks of lines into flat arrays, so memory grows with the record count
-rather than with Python objects per token.
+indices, then the duplicate rule ("previous at line N").
+
+numpy's C reader (``np.loadtxt``) reads all records into flat arrays in one
+call, and the checks run on whole arrays. If it refuses the file (a token
+only Python's float() or int() reads, such as ``1_0``; a wrong field count;
+no records) or a check fails, the file is read again line by line. Only
+that path counts lines, so it alone names the error and its line.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +58,8 @@ _ELEMENT_LOOKUP = {sym.lower(): sym for sym in ELEMENTS}
 
 DUPLICATE_TOL = 1e-10
 
-# Integral-file lines read and tokenized at a time: bounds the Python
-# strings alive at once, so memory grows with the record count only.
-_BLOCK_LINES = 8192
-# Index tokens up to this are read by table lookup (see _convert); the cap
-# keeps a header's orbital count alone from sizing the table.
-_INDEX_TABLE_MAX = 4096
+# One integral record as numpy's C reader stores it: value, then i j k l.
+_RECORD = np.dtype([("value", float), ("index", np.int64, (4,))])
 # Line breaks of str.splitlines() besides "\n"; folded into "\n" so that
 # reported line numbers count every break it counts.
 _LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
@@ -225,58 +227,36 @@ def canonical_h2_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, i
 def parse_integrals(text: str) -> IntegralSet:
     """Parse an integral file into a fully symmetry-expanded IntegralSet.
 
-    Lines are tokenized in blocks of ``_BLOCK_LINES``; the checks and the
-    symmetry expansion run on whole arrays (contract: module docstring).
+    numpy's C reader reads every record; the checks and the symmetry
+    expansion run on whole arrays. A file it refuses, or one that fails a
+    check, is read again line by line (contract: module docstring).
     """
     for sep in _LINE_BREAKS:
         text = text.replace(sep, "\n")
-    stream = io.StringIO(text)
-    n_orb, no = _read_header(stream)
-    size = text.count("\n") + 1 - no  # at least the record count
-    values, lines = np.empty(size), np.empty(size, dtype=np.int64)
-    indices = np.empty((4, size), dtype=np.int64)
-    count, error = 0, None
-    table = {str(i): i for i in range(min(n_orb, _INDEX_TABLE_MAX) + 1)}
-    for block in iter(lambda: list(itertools.islice(stream, _BLOCK_LINES)), []):
-        vals, idx, nos, error = _read_block(block, no + 1, n_orb, table)
-        end = count + len(vals)
-        values[count:end], indices[:, count:end], lines[count:end] = vals, idx, nos
-        count, no = end, no + len(block)
+    n_orb, no = _read_header(text)
+    values, indices = _read_records(text, no, n_orb) or (None, None)
+    if values is not None:
+        order, keys, starts, prev, clash = _classes(values, indices, n_orb)
+    if values is None or clash.any():
+        # Only this path knows line numbers; it names the first bad line.
+        values, indices, lines, error = _read_lines(text, no, n_orb)
+        order, keys, starts, prev, clash = _classes(values, indices, n_orb)
+        if clash.any():  # a clash comes before ``error``'s line
+            at = np.argmin(order[clash])
+            row, before = order[clash][at], prev[clash][at]
+            i, j, k, l = indices[:, row].tolist()
+            what = (f"h2 record for {canonical_h2_index(i, j, k, l)}" if k
+                    else f"h1 record for {canonical_pair_index(i, j)}" if i
+                    else "core energy")
+            raise ParseError(f"conflicting {what} (previous at line {lines[before]})",
+                             line=lines[row])
         if error is not None:
-            break
-    del stream
-    values, indices, lines = values[:count], indices[:, :count], lines[:count]
-
-    # Pair numbers p of (ij) and q of (kl): 1-based in lexicographic order,
-    # 0 for (0, 0). The key max(p, q)*(P+1) + min(p, q) is 0 for the core
-    # energy and unique per h1 pair and per h2 symmetry class.
-    ik, jl = indices[::2], indices[1::2]
-    hi, lo = np.maximum(ik, jl), np.minimum(ik, jl)
-    pairs = hi * (hi - 1) // 2 + lo
-    keys = pairs.max(axis=0) * (n_orb * (n_orb + 1) // 2 + 1) + pairs.min(axis=0)
-    del hi, lo, pairs  # each temporary goes before the next comes
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.diff(keys, prepend=-1) != 0
-    # A record is checked against its class's first record, a core energy
-    # against the latest one. A clash comes before ``error``'s line.
-    prev = order[np.maximum.accumulate(np.where(starts, np.arange(count), 0))]
-    prev = np.where(keys == 0, np.r_[order[:1], order[:-1]], prev)
-    clash = np.abs(values[order] - values[prev]) > DUPLICATE_TOL
-    if clash.any():
-        at = np.argmin(order[clash])
-        row, before = order[clash][at], prev[clash][at]
-        i, j, k, l = indices[:, row].tolist()
-        what = (f"h2 record for {canonical_h2_index(i, j, k, l)}" if k else
-                f"h1 record for {canonical_pair_index(i, j)}" if i else "core energy")
-        raise ParseError(f"conflicting {what} (previous at line {lines[before]})",
-                         line=int(lines[row]))
-    if error is not None:
-        raise error
+            raise error
 
     core, firsts = order[keys == 0], order[starts & (keys > 0)]
-    del order, keys, starts, prev, clash
+    core_energy = values[core[-1]] if len(core) else 0.0
     (a, b, c, d), v = indices[:, firsts] - 1, values[firsts]
+    del values, indices, order, keys, starts, prev, clash
     one, two = c < 0, c >= 0
     h1 = np.zeros((n_orb, n_orb))
     h1[a[one], b[one]] = h1[b[one], a[one]] = v[one]
@@ -285,13 +265,17 @@ def parse_integrals(text: str) -> IntegralSet:
     for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
                        (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
         h2[p, q, r, s] = v
-    return IntegralSet(n_orb=n_orb, core_energy=values[core[-1]] if len(core) else 0.0,
-                       h1=h1, h2=h2)
+    return IntegralSet(n_orb=n_orb, core_energy=core_energy, h1=h1, h2=h2)
 
 
-def _read_header(stream) -> tuple[int, int]:
+def _lines(text: str):
+    """The lines of ``text`` one at a time, without splitting it whole."""
+    return (match[0] for match in re.finditer("^.*$", text, re.MULTILINE))
+
+
+def _read_header(text: str) -> tuple[int, int]:
     """The orbital count from the first content line, and that line's number."""
-    contents = ((no, raw.split("#", 1)[0]) for no, raw in enumerate(stream, start=1))
+    contents = ((no, raw.split("#", 1)[0]) for no, raw in enumerate(_lines(text), 1))
     no, line = next(((no, line) for no, line in contents if line.strip()), (1, ""))
     parts = line.split()
     if len(parts) != 2 or parts[0].upper() != "NORB":
@@ -305,48 +289,64 @@ def _read_header(stream) -> tuple[int, int]:
     return n_orb, no
 
 
-def _read_block(block: list[str], first_no: int, n_orb: int, table: dict):
-    """Values, (4, n) indices and line numbers of a block's records before
-    its first line that fails a per-line check, and that line's error."""
-    fields = [raw.split("#", 1)[0].split() for raw in block]
-    widths = np.fromiter(map(len, fields), np.intp, len(fields))
-    keep = np.flatnonzero(widths)
-    try:
-        if (widths[keep] == 5).all():
-            values, indices = _convert([fields[pos] for pos in keep.tolist()], table)
-            zero, outside = indices == 0, (indices < 1) | (indices > n_orb)
-            h1 = zero[2] & zero[3] & ~(zero[0] & zero[1])
-            h2 = ~(zero[2] & zero[3])  # a zero index is outside too: mixed zero
-            if not (~np.isfinite(values) | h2 & outside.any(axis=0)
-                    | h1 & (outside[0] | outside[1])).any():
-                return values, indices, keep + first_no, None
-    except (ValueError, OverflowError):  # malformed, or an index past int64
-        pass
-    # Error path: re-scan this block line by line for its first bad record.
-    errors = (_line_error(block[pos], first_no + pos, n_orb) for pos in keep.tolist())
-    stop, error = next(((n, e) for n, e in enumerate(errors) if e), (len(keep), None))
-    keep = keep[:stop]
-    return (*_convert([fields[pos] for pos in keep.tolist()], table),
-            keep + first_no, error)
+def _read_records(text: str, skip: int, n_orb: int):
+    """Values and (4, n) indices of the records after line ``skip``, read by
+    numpy's C reader; None if it refuses the file (a token, a width, no
+    records, any warning) or if a record fails a per-line check."""
+    try:  # latin-1 round-trips characters below 256; the encode refuses others
+        with warnings.catch_warnings():  # numpy 1.x reads "1.0" as an int
+            warnings.simplefilter("error")
+            records = np.loadtxt(io.BytesIO(text.encode("latin-1")), _RECORD,
+                                 comments="#", skiprows=skip, encoding="latin-1",
+                                 ndmin=1)
+    except (ValueError, OverflowError, Warning):  # UnicodeEncodeError is a ValueError
+        return None
+    values, indices = records["value"].copy(), records["index"].T.copy()
+    zero, outside = indices == 0, (indices < 1) | (indices > n_orb)
+    h1 = zero[2] & zero[3] & ~(zero[0] & zero[1])
+    h2 = ~(zero[2] & zero[3])  # a zero index is outside too: mixed zero
+    if (~np.isfinite(values) | h2 & outside.any(axis=0)
+            | h1 & (outside[0] | outside[1])).any():
+        return None
+    return values, indices
 
 
-def _convert(rows: list[list[str]], table: dict
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Value and (4, n) index arrays of five-field records. Fields are
-    picked by map(list.__getitem__), with no token list built per block.
-    Index tokens are looked up in ``table`` (``str(i)`` to ``i``); a token
-    it lacks (``"01"``, ``"+1"``, out of range) sends the block to int()."""
-    def field(k):
-        return map(list.__getitem__, rows, itertools.repeat(k))
-    def indices(convert):
-        tokens = itertools.chain.from_iterable(field(slice(1, 5)))
-        return np.fromiter(map(convert, tokens), np.int64, 4 * len(rows))
-    values = np.fromiter(map(float, field(0)), float, len(rows))
-    try:
-        found = indices(table.__getitem__)
-    except KeyError:
-        found = indices(int)
-    return values, found.reshape(-1, 4).T
+def _read_lines(text: str, skip: int, n_orb: int):
+    """Values, (4, n) indices and line numbers of the records before the
+    first line that fails a per-line check, and that line's error."""
+    values, tokens, lines, error = [], [], [], None
+    for no, raw in itertools.islice(enumerate(_lines(text), 1), skip, None):
+        if not (fields := raw.split("#", 1)[0].split()):
+            continue
+        if (error := _line_error(raw, no, n_orb)) is not None:
+            break
+        values.append(fields[0])
+        tokens += fields[1:]
+        lines.append(no)
+    indices = np.fromiter(map(int, tokens), np.int64, len(tokens)).reshape(-1, 4)
+    return np.fromiter(map(float, values), float, len(values)), indices.T, lines, error
+
+
+def _classes(values: np.ndarray, indices: np.ndarray, n_orb: int):
+    """Records sorted by symmetry class: the order, sorted keys, class
+    starts, the record each one is checked against, and which clash."""
+    # Pair numbers p of (ij) and q of (kl): 1-based in lexicographic order,
+    # 0 for (0, 0). The key max(p, q)*(P+1) + min(p, q) is 0 for the core
+    # energy and unique per h1 pair and per h2 symmetry class.
+    ik, jl = indices[::2], indices[1::2]
+    hi, lo = np.maximum(ik, jl), np.minimum(ik, jl)
+    pairs = hi * (hi - 1) // 2 + lo
+    keys = pairs.max(axis=0) * (n_orb * (n_orb + 1) // 2 + 1) + pairs.min(axis=0)
+    del hi, lo, pairs  # each temporary goes before the next comes
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.diff(keys, prepend=-1) != 0
+    # A record is checked against its class's first record, a core energy
+    # against the latest one.
+    prev = order[np.maximum.accumulate(np.where(starts, np.arange(len(keys)), 0))]
+    prev = np.where(keys == 0, np.r_[order[:1], order[:-1]], prev)
+    clash = np.abs(values[order] - values[prev]) > DUPLICATE_TOL
+    return order, keys, starts, prev, clash
 
 
 def _line_error(raw: str, no: int, n_orb: int) -> ParseError | None:

@@ -12,6 +12,7 @@ this artifact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -109,7 +110,11 @@ def _ceil_sqrt(value: int) -> int:
 
 def _min_distance(scale: float, limit: float, qp: QubitParams,
                   code: CodeParams) -> int | None:
-    """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit."""
+    """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit;
+    None for an int scale past the float range, whose product with any
+    normal float p_L(d) exceeds 1 (and whose conversion would overflow)."""
+    if scale > sys.float_info.max:
+        return None
     for d in range(code.d_min, MAX_DISTANCE + 1, 2):
         if scale * logical_error_rate(d, qp.p_gate, code) <= limit:
             return d

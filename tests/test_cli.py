@@ -439,6 +439,20 @@ def test_table_t_count_read_exactly(tmp_path, capsys):
     assert out.read_text().splitlines()[1].split(",")[3] == str(2**53 + 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate-physical", "--qubits", "10", "--tcount", "1e308"],
+    ["reproduce-table", "TABLE"],
+])
+def test_t_count_past_float_range_reports_saturation(tmp_path, capsys, argv):
+    # layout tiles * 1e308 is past the float range (OverflowError before)
+    path = tmp_path / "table.csv"
+    path.write_text(TABLE_HEADER + TABLE_ROW.replace("4.00e10", "1e308"))
+    assert main([str(path) if arg == "TABLE" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "distance-saturation"
+
+
 @pytest.mark.parametrize("text, command", [
     ("n_orb,tcount\n10,1e5\n100,1e10\n", "fit-scaling"),
     ("n_orb,t_count\n10,abc\n100,1e10\n", "fit-scaling"),

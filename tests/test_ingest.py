@@ -419,12 +419,54 @@ class TestBlockParserEquivalence:
     @pytest.mark.parametrize("text", [
         "NORB 2\n0.5 \u0661 1 0 0\n0.25 \uff12 2 1 1\n",  # non-ASCII digits
         "NORB 2\n0.5 01 +1 0 0\n0.25 2 2 1 1\n",
-        # indices past the lookup table's cap go through int() too
-        f"NORB {ingest._INDEX_TABLE_MAX + 10}\n0.5 {ingest._INDEX_TABLE_MAX + 5}"
-        f" {ingest._INDEX_TABLE_MAX + 5} 0 0\n0.1 1 1\n",
+        # indices in the thousands
+        f"NORB {4096 + 10}\n0.5 {4096 + 5} {4096 + 5} 0 0\n0.1 1 1\n",
     ])
     def test_index_tokens_outside_lookup_table(self, text):
         assert_same_as_reference(text)
+
+    @pytest.mark.parametrize("text", [
+        # tokens Python's float()/int() read and numpy's C reader refuses
+        "NORB 12\n0.5 1_0 1 0 0\n0.25 2 2 1 1\n",
+        "NORB 2\n0.5 1_0 1 0 0\n",
+        "NORB 2\n1_0.5 1 1 1 1\n0.25 2 2 1 1\n",
+        "NORB 2\n1_0.5 1 1 1 1\n2_0.5 1 1 1 1\n",
+        "NORB 2\n0.5 \u0661 1 0 0\n",
+        "NORB 2\n0.25 \uff12 2 1 1\n0.25 2 2 1 \uff13\n",
+        # characters inside a line
+        "NORB 2\n0.5\xa01 1 1 1\n0.25 2\xa02 1 1\n",
+        "NORB 2\n0.5 1\x1f1 1 1\n",
+        "NORB 2\n0.5 1 1 1 1\x00\n",
+        "NORB 2\n0.5 1\x001 1 1\n",
+        "NORB 2\n\x00\n",
+        # indices a C integer reader refuses
+        "NORB 2\n0.5 1.0 1 1 1\n",
+        "NORB 2\n0.5 1 1e0 0 0\n",
+        "NORB 2\n0.5 1 1 1 9223372036854775808\n",
+        "NORB 2\n0.5 -9223372036854775809 1 1 1\n",
+        # header only, header after comments, comments after the header only
+        "NORB 2\n",
+        "NORB 2",
+        "# title\n\n# more\n  \t\nNORB 2\n0.5 1 1 1 1\n",
+        "# title\n# more\nNORB 2\n",
+        "NORB 2\n# a\n\n  # b 0.5 1 1 1 1\n",
+    ])
+    def test_token_gap_with_the_c_reader(self, text):
+        assert_same_as_reference(text)
+
+    def test_valid_files_never_take_the_line_path(self, monkeypatch):
+        texts = [
+            serialize_integrals(gen_synthetic(SyntheticSpec(n_orb=6, rank=21, seed=0))),
+            "\n".join(_block_spanning_lines(8192 + 800)),
+            "# title\n\nNORB 2\r\n0.5 +1 01 0 0  # c\r\n\t\n0.25 2 2 -0 0\r\n",
+        ]
+        expected = [_outcome(reference_parse_integrals, text) for text in texts]
+        assert [outcome[0] for outcome in expected] == [6, 20, 2]  # all valid
+
+        def refuse(*args):
+            raise AssertionError("a valid file was read line by line")
+        monkeypatch.setattr(ingest, "_line_error", refuse)
+        assert [_outcome(parse_integrals, text) for text in texts] == expected
 
     def test_serialized_files_bit_identical(self):
         for seed in range(3):
@@ -442,7 +484,7 @@ def _block_spanning_lines(n_records: int) -> list[str]:
 
 
 class TestBlockBoundaries:
-    BLOCK = ingest._BLOCK_LINES
+    BLOCK = 8192  # faults and conflicts sit thousands of lines into a file
 
     def _lines(self):
         return _block_spanning_lines(self.BLOCK + 800)

@@ -83,6 +83,16 @@ class TestSelectDistance:
         with pytest.raises(DistanceSaturationError):
             select_distance(10**6, 10**30, qp_noisy, eps_logical=1e-10)
 
+    def test_scale_past_float_range_saturates(self):
+        # tiles * cycles past the float range saturates instead of raising
+        # OverflowError, even for noiseless qubits, where a smaller scale
+        # gets d_min
+        noiseless = type(QP)(name="noiseless", p_gate=0.0)
+        assert select_distance(10, 10**306, noiseless, eps_logical=0.5) == 3
+        for qp in (QP, noiseless):
+            with pytest.raises(DistanceSaturationError):
+                select_distance(10, 10**308, qp, eps_logical=0.5)
+
 
 class TestDesignFactories:
     def test_fragment8_scale_two_rounds(self):
