@@ -42,7 +42,7 @@ class NumericalError(DfqreError):
 
 
 class ResourceLimitError(DfqreError):
-    """Requested dense-oracle problem size exceeds the desk-scale cap."""
+    """Requested dense array size exceeds the desk-scale cap or memory."""
 
     category = "resource-limit"
 

@@ -26,7 +26,10 @@ latest one before it, the last one supplying the value.
 A bad file raises the ParseError of its first offending line in file
 order, with that line's number. On one line the checks run as listed:
 field count, number syntax, finiteness, index bounds or mixed zero/nonzero
-indices, then the duplicate rule ("previous at line N").
+indices, then the duplicate rule ("previous at line N"). If the dense h2
+(8 n^4 bytes) would exceed the machine's physical memory, only the
+per-line checks run, no array is built, and a file that passes them is a
+ResourceLimitError.
 
 numpy's C reader (``np.loadtxt``) reads all records into flat arrays in one
 call, and the checks run on whole arrays. If it refuses the file (a token
@@ -40,13 +43,15 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, ParseError, ValidationError
+from .errors import EmptyInputError, ParseError, ResourceLimitError, \
+    ValidationError
 
 # Recognized element symbols, H through Zn. Heavier species are rejected.
 ELEMENTS = (
@@ -234,6 +239,15 @@ def parse_integrals(text: str) -> IntegralSet:
     for sep in _LINE_BREAKS:
         text = text.replace(sep, "\n")
     n_orb, no = _read_header(text)
+    need = 8 * n_orb**4  # bytes of the dense float64 h2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        lines = itertools.islice(enumerate(_lines(text), 1), no, None)
+        errors = (_line_error(raw, k, n_orb) for k, raw in lines
+                  if raw.split("#", 1)[0].split())
+        raise next(filter(None, errors), ResourceLimitError(
+            f"NORB {n_orb}: a dense h2 needs {need} bytes, more than the "
+            f"{have} bytes of memory"))
     values, indices = _read_records(text, no, n_orb) or (None, None)
     if values is not None:
         order, keys, starts, prev, clash = _classes(values, indices, n_orb)

@@ -4,24 +4,23 @@ simulator.
 
 Everything here works on the full occupation-number space of dimension
 4^n_orb, so it is deliberately capped at small sizes: both Fock-space
-assemblers (from raw integrals and from a decomposition), and so the
-equivalence check, stop at ``FOCK_MAX_ORBITALS`` orbitals and raise
-``ResourceLimitError`` above it; phase estimation stops at
-``QPE_MAX_DIM``. Both assemblers take their Jordan-Wigner signs from one
-occupancy and sign table over the occupation-number states: the raw
-assembler applies ladder operators to bit strings, the decomposition
-assembler builds sparse annihilation operators from it. These routines
+assemblers (raw integrals, decomposition), and so the equivalence check,
+raise ``ResourceLimitError`` above ``FOCK_MAX_ORBITALS`` orbitals; phase
+estimation stops at ``QPE_MAX_DIM``. Both assemblers apply ladder
+operators to occupation bit strings with the signs of one Jordan-Wigner
+table, and form no sparse operator. The equivalence check takes its
+spectral norm one (N_up, N_down) sector block at a time. These routines
 certify the factorization and cost-model formulas; they are not
 simulators of the production circuits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dfact import DFDecomposition
 from .errors import ResourceLimitError, ValidationError
@@ -65,17 +64,52 @@ def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
     return bits == 1, 1.0 - 2.0 * (parity_below % 2)
 
 
-def _annihilation_operators(n_spin_orb: int) -> list[sp.csr_matrix]:
-    """Sparse a_p for every spin-orbital, with Jordan-Wigner parity signs."""
-    dim = 1 << n_spin_orb
-    occupied, sign = _jordan_wigner_tables(n_spin_orb)
+def _sectors(n_orb: int) -> list[np.ndarray]:
+    """The basis indices of each (N_up, N_down) sector."""
+    occupied, _ = _jordan_wigner_tables(2 * n_orb)
+    key = occupied[:n_orb].sum(axis=0) * (n_orb + 1) + occupied[n_orb:].sum(axis=0)
+    return [np.flatnonzero(key == k) for k in np.unique(key)]
+
+
+def _ladders(n_orb: int):
+    """Ladder-operator tools on the Fock space of ``n_orb`` orbitals.
+
+    A state is tracked as (source, current, sign); a ladder operator keeps
+    the states where spin-orbital p is occupied (a_p) or empty (a+_p),
+    flips bit p and multiplies in its Jordan-Wigner sign. A string of them
+    sends each source to at most one state, so ``add`` puts its +-coeff
+    entries straight into a dense matrix. ``lowered[p]`` is a_p on every
+    state, ``dense(core)`` core times the identity.
+    """
+    if n_orb > FOCK_MAX_ORBITALS:
+        raise ResourceLimitError(
+            f"n_orb={n_orb} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
+    dim = 1 << 2 * n_orb
+    occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
+
+    def ladder(p, create, src, cur, sign):
+        keep = occupied[p, cur] != create
+        cur = cur[keep]
+        return src[keep], cur ^ (1 << p), sign[keep] * jw_sign[p, cur]
+
+    def add(matrix, coeff, src, dst, sign):
+        matrix.reshape(-1)[dst * dim + src] += coeff * sign
+
+    def dense(core=0.0):
+        matrix = np.zeros((dim, dim))
+        matrix.reshape(-1)[::dim + 1] = core
+        return matrix
+
+    def one_body(matrix, mat):
+        """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``."""
+        for (i, j), shift in itertools.product(np.argwhere(mat != 0.0), (0, n_orb)):
+            add(matrix, mat[i, j], *ladder(i + shift, True, *lowered[j + shift]))
+        return matrix
+
     states = np.arange(dim, dtype=np.int64)
-    ops = []
-    for p in range(n_spin_orb):
-        src = states[occupied[p]]
-        ops.append(sp.csr_matrix((sign[p, src], (src ^ (1 << p), src)),
-                                 shape=(dim, dim)))
-    return ops
+    lowered = [ladder(p, False, states, states, np.ones(dim))
+               for p in range(2 * n_orb)]
+    return ladder, lowered, add, one_body, dense
 
 
 def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
@@ -84,92 +118,40 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
     The two-body term is built with the operators in their written order
     (a+ a+ a a), so this matrix is independent of any normal-ordering
     identity used elsewhere and can certify those identities.
-
-    Each term is a string of ladder operators applied to every basis
-    state at once: a state is tracked as (source, current, sign), and a
-    ladder operator keeps the states where spin-orbital p is occupied
-    (a_p) or empty (a+_p), flips bit p and multiplies in its
-    Jordan-Wigner sign. A term sends each source to at most one state,
-    so its +-coeff entries are added straight into the dense matrix.
     """
     n = integrals.n_orb
-    if n > FOCK_MAX_ORBITALS:
-        raise ResourceLimitError(
-            f"n_orb={n} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
-    nso = 2 * n
-    dim = 1 << nso
-    occupied, jw_sign = _jordan_wigner_tables(nso)
+    ladder, lowered, add, one_body, dense = _ladders(n)
+    matrix = one_body(dense(integrals.core_energy), integrals.h1)
 
-    def ladder(p, create, src, cur, sign):
-        keep = occupied[p, cur] != create
-        cur = cur[keep]
-        return src[keep], cur ^ (1 << p), sign[keep] * jw_sign[p, cur]
-
-    def so(i: int, sigma: int) -> int:
-        return i + sigma * n
-
-    matrix = np.zeros((dim, dim))
-    flat = matrix.reshape(-1)
-
-    def add(coeff, src, dst, sign):
-        flat[dst * dim + src] += coeff * sign
-
-    flat[::dim + 1] = integrals.core_energy
-    states = np.arange(dim, dtype=np.int64)
-    lowered = [ladder(p, False, states, states, np.ones(dim))
-               for p in range(nso)]
-    for i in range(n):
-        for j in range(n):
-            hij = integrals.h1[i, j]
-            if hij == 0.0:
-                continue
-            for sigma in (0, 1):
-                add(hij, *ladder(so(i, sigma), True, *lowered[so(j, sigma)]))
-
-    # right factors a_l a_j reused across the (i, k) loop
+    # right factors a_l a_j reused over (i, k); spin shifts 0 (up) and n (down)
     right = {(a, b): ladder(a, False, *lowered[b])
-             for a in range(nso) for b in range(nso)}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    coeff = 0.5 * integrals.h2[i, j, k, l]
-                    if coeff == 0.0:
-                        continue
-                    for sigma in (0, 1):
-                        for rho in (0, 1):
-                            term = ladder(so(k, rho), True,
-                                          *right[(so(l, rho), so(j, sigma))])
-                            add(coeff, *ladder(so(i, sigma), True, *term))
+             for a in range(2 * n) for b in range(2 * n)}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        coeff = 0.5 * integrals.h2[i, j, k, l]
+        if coeff == 0.0:
+            continue
+        for sigma, rho in itertools.product((0, n), repeat=2):
+            term = ladder(k + rho, True, *right[(l + rho, j + sigma)])
+            add(matrix, coeff, *ladder(i + sigma, True, *term))
     return FockMatrix(n_orb=n, matrix=matrix)
 
 
 def fock_matrix_of_decomposition(df: DFDecomposition) -> FockMatrix:
-    """Fock-space matrix of the factorized Hamiltonian, assembled from
-    hbar and the squared one-body leaf operators as written.
-
-    A spin-summed one-body operator sum_ij M_ij sum_sigma a+_{i,sigma}
-    a_{j,sigma} is A^T (I_2 (x) M (x) I_dim) A, where A stacks every a_p
-    into one (2n * dim, dim) sparse matrix.
+    """Fock-space matrix of the factorized Hamiltonian, assembled as
+    written: the core energy, the hbar one-body term and
+    1/2 sum_r c_r O_r^2 over the one-body leaf operators O_r. Each O_r
+    conserves both spin counts, so it is squared sector block by block.
     """
-    n = df.n_orb
-    if n > FOCK_MAX_ORBITALS:
-        raise ResourceLimitError(
-            f"n_orb={n} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
-    dim = 1 << (2 * n)
-    stacked = sp.vstack(_annihilation_operators(2 * n), format="csr")
-    stacked_t = stacked.T.tocsr()
-    identity = sp.identity(dim, format="csr")
-
-    def one_body(mat: np.ndarray) -> sp.csr_matrix:
-        spin_orbital = np.kron(np.eye(2), mat)
-        return stacked_t @ sp.kron(spin_orbital, identity, format="csr") @ stacked
-
-    ham = df.core_energy * identity + one_body(df.h_bar)
+    *_, one_body, dense = _ladders(df.n_orb)
+    matrix = one_body(dense(df.core_energy), df.h_bar)
+    blocks = [np.ix_(s, s) for s in _sectors(df.n_orb)]
+    op = dense()
     for leaf in df.leaves:
-        op = one_body(leaf.matrix())
-        ham = ham + 0.5 * leaf.weight * (op @ op)
-    return FockMatrix(n_orb=n, matrix=ham.toarray())
+        one_body(op, leaf.matrix())
+        for block in blocks:  # O_r lies in the blocks: clearing them zeroes it
+            sub, op[block] = op[block], 0.0
+            matrix[block] += 0.5 * leaf.weight * (sub @ sub)
+    return FockMatrix(n_orb=df.n_orb, matrix=matrix)
 
 
 def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
@@ -177,13 +159,16 @@ def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
 
     For an untruncated decomposition this certifies both the hbar
     correction formula and the spin handling; values above ~1e-9 indicate
-    a broken identity (or a truncated input).
+    a broken identity (or a truncated input). Both Hamiltonians conserve
+    N_up and N_down, so the difference has no entry between sectors and
+    its norm is exactly the largest over the (N_up, N_down) blocks.
     """
     if integrals.n_orb != df.n_orb:
         raise ValidationError("orbital count mismatch between inputs")
-    reference = build_fock_matrix(integrals).matrix
-    assembled = fock_matrix_of_decomposition(df).matrix
-    return float(np.abs(np.linalg.eigvalsh(reference - assembled)).max())
+    diff = build_fock_matrix(integrals).matrix
+    diff -= fock_matrix_of_decomposition(df).matrix
+    return max(float(np.abs(np.linalg.eigvalsh(diff[np.ix_(s, s)])).max())
+               for s in _sectors(df.n_orb))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dfqre
 from dfqre.cli import main
 from dfqre.ingest import SyntheticSpec, gen_synthetic, serialize_integrals
 
@@ -493,3 +498,21 @@ def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
     assert err["error"] == "invalid-input"
     if command == "reproduce-table":
         assert f"{path} row 1:" in err["message"]
+
+
+@pytest.mark.parametrize("norb", [3000, 99999999999999999999])
+def test_oversized_norb_reports_resource_limit(tmp_path, norb):
+    """A header whose dense h2 cannot fit is refused before any array is
+    allocated: an error record naming the bytes, no traceback."""
+    path = tmp_path / "big.ints"
+    path.write_text(f"NORB {norb}\n0.5 1 1 0 0\n")
+    src = str(Path(dfqre.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "dfqre.cli", "factorize",
+                           str(path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "resource-limit"
+    assert f"needs {8 * norb**4} bytes" in err["message"]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dfqre
 from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
     qpe_energy_offset
 from dfqre.errors import ResourceLimitError, ValidationError
@@ -80,6 +85,69 @@ def reference_build_fock_matrix(integrals):
     return np.asarray(ham.todense(), dtype=float)
 
 
+def reference_fock_matrix_of_decomposition(df):
+    """The sparse-operator assembler of the factorized Hamiltonian that the
+    ladder-table one replaced, kept as the oracle for its matrix: a
+    spin-summed one-body operator sum_ij M_ij sum_sigma a+_{i,sigma}
+    a_{j,sigma} is A^T (I_2 (x) M (x) I_dim) A, where A stacks every a_p
+    into one (2n * dim, dim) sparse matrix."""
+    n = df.n_orb
+    dim = 1 << (2 * n)
+    stacked = sp.vstack(_reference_annihilation_operators(2 * n), format="csr")
+    stacked_t = stacked.T.tocsr()
+    identity = sp.identity(dim, format="csr")
+
+    def one_body(mat):
+        spin_orbital = np.kron(np.eye(2), mat)
+        return stacked_t @ sp.kron(spin_orbital, identity, format="csr") @ stacked
+
+    ham = df.core_energy * identity + one_body(df.h_bar)
+    for leaf in df.leaves:
+        op = one_body(leaf.matrix())
+        ham = ham + 0.5 * leaf.weight * (op @ op)
+    return ham.toarray()
+
+
+def reference_df_deviation(integrals, df):
+    """Spectral norm of the raw minus the factorized matrix, from one
+    full-space eigvalsh."""
+    diff = (build_fock_matrix(integrals).matrix
+            - fock_matrix_of_decomposition(df).matrix)
+    return float(np.abs(np.linalg.eigvalsh(diff)).max())
+
+
+def assert_spin_sectors_exactly_zero(fock):
+    """No entry couples states of different (N_up, N_down)."""
+    n = fock.n_orb
+    bits = (np.arange(fock.dim)[:, None] >> np.arange(2 * n)) & 1
+    up, down = bits[:, :n].sum(axis=1), bits[:, n:].sum(axis=1)
+    across = (up[:, None] != up[None, :]) | (down[:, None] != down[None, :])
+    coupling = fock.matrix[across]
+    assert coupling.size and np.all(coupling == 0.0)
+
+
+def criterion_6_integrals():
+    """Criterion 6's sweep over n_orb <= 3 and every rank, and its parsed
+    two-orbital file."""
+    fixtures = [gen_synthetic(SyntheticSpec(n_orb=n, rank=r, seed=seed + 7 * r))
+                for n in (1, 2, 3) for r in range(n * (n + 1) // 2 + 1)
+                for seed in (0, 1)]
+    fixtures.append(parse_integrals(
+        "NORB 2\n0.25 0 0 0 0\n-1.1 1 1 0 0\n-0.9 2 2 0 0\n0.2 1 2 0 0\n"
+        "0.65 1 1 1 1\n0.61 2 2 2 2\n0.47 1 1 2 2\n0.12 1 2 1 2\n"
+        "0.08 1 1 1 2\n"))
+    return fixtures
+
+
+def missing_correction_control():
+    """Criterion 6's negative control: the leaves with h1 in place of hbar."""
+    ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=3, seed=6))
+    good = factorize(ints)
+    return ints, DFDecomposition(n_orb=2, core_energy=good.core_energy,
+                                 h_bar=ints.h1, leaves=good.leaves,
+                                 tol_first=0.0, tol_second=0.0)
+
+
 def assert_same_as_reference(integrals):
     fock = build_fock_matrix(integrals)
     assert fock.n_orb == integrals.n_orb
@@ -138,10 +206,7 @@ class TestFockMatrix:
         rng = np.random.default_rng(40 + n_orb)
         ints = raw_integrals(n_orb, 0.3, rng.standard_normal((n_orb,) * 2),
                              rng.standard_normal((n_orb,) * 4))
-        fock = build_fock_matrix(ints)
-        number = fock.number_operator()
-        coupling = fock.matrix[number[:, None] != number[None, :]]
-        assert coupling.size and np.all(coupling == 0.0)
+        assert_spin_sectors_exactly_zero(build_fock_matrix(ints))
 
 
 class TestReferenceAssembler:
@@ -169,16 +234,7 @@ class TestReferenceAssembler:
                                      (1, 1, 0), (2, 3, 1), (3, 1, 2),
                                      (4, 10, 4), (2, 1, 7), (2, 3, 6),
                                      (2, 0, 5)]]
-        # criterion 6's sweep and its parsed two-orbital file
-        fixtures += [gen_synthetic(SyntheticSpec(n_orb=n, rank=r,
-                                                 seed=seed + 7 * r))
-                     for n in (1, 2, 3) for r in range(n * (n + 1) // 2 + 1)
-                     for seed in (0, 1)]
-        fixtures.append(parse_integrals(
-            "NORB 2\n0.25 0 0 0 0\n-1.1 1 1 0 0\n-0.9 2 2 0 0\n0.2 1 2 0 0\n"
-            "0.65 1 1 1 1\n0.61 2 2 2 2\n0.47 1 1 2 2\n0.12 1 2 1 2\n"
-            "0.08 1 1 1 2\n"))
-        for ints in fixtures:
+        for ints in fixtures + criterion_6_integrals():
             assert_same_as_reference(ints)
 
 
@@ -194,6 +250,34 @@ class TestDfEquivalence:
         ints = gen_synthetic(SyntheticSpec(n_orb=4, rank=10, seed=4))
         assert check_df_equivalence(ints, factorize(ints)) <= 1e-9
 
+    @pytest.mark.parametrize("n_orb", [5, 6])
+    def test_untruncated_equivalence_full_rank(self, n_orb):
+        ints = gen_synthetic(SyntheticSpec(
+            n_orb=n_orb, rank=n_orb * (n_orb + 1) // 2, seed=n_orb))
+        assert check_df_equivalence(ints, factorize(ints)) <= 1e-9
+
+    def test_sector_norm_matches_full_space(self):
+        # truncated decompositions deviate in many sectors, not only one
+        cases = [(ints, factorize(ints, tol, tol))
+                 for ints in criterion_6_integrals() for tol in (0.0, 1e-2)]
+        cases.append(missing_correction_control())
+        for ints, df in cases:
+            expected = reference_df_deviation(ints, df)
+            assert abs(check_df_equivalence(ints, df) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_matches_sparse_reference(self, n_orb):
+        full = n_orb * (n_orb + 1) // 2
+        ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
+                                           seed=60 + n_orb))
+        for tol in (0.0, 1e-2):
+            df = factorize(ints, tol, tol)
+            expected = reference_fock_matrix_of_decomposition(df)
+            fock = fock_matrix_of_decomposition(df)
+            assert fock.n_orb == n_orb
+            assert (np.abs(fock.matrix - expected).max()
+                    <= 1e-12 * np.abs(expected).max())
+
     def test_decomposition_size_cap(self):
         # the factorized assembler shares the raw assembler's cap
         df = factorize(gen_synthetic(SyntheticSpec(n_orb=7, rank=2, seed=8)))
@@ -208,10 +292,8 @@ class TestDfEquivalence:
             ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
                                                seed=50 + seed))
             for tol in (0.0, 1e-2):
-                fock = fock_matrix_of_decomposition(factorize(ints, tol, tol))
-                number = fock.number_operator()
-                coupling = fock.matrix[number[:, None] != number[None, :]]
-                assert coupling.size and np.all(coupling == 0.0)
+                assert_spin_sectors_exactly_zero(
+                    fock_matrix_of_decomposition(factorize(ints, tol, tol)))
 
     def test_zero_tensor_exact(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=0, seed=5))
@@ -219,12 +301,7 @@ class TestDfEquivalence:
         assert check_df_equivalence(ints, df) <= 1e-12
 
     def test_negative_control_missing_correction(self):
-        ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=3, seed=6))
-        good = factorize(ints)
-        bad = DFDecomposition(n_orb=2, core_energy=good.core_energy,
-                              h_bar=ints.h1, leaves=good.leaves,
-                              tol_first=0.0, tol_second=0.0)
-        assert check_df_equivalence(ints, bad) > 1e-3
+        assert check_df_equivalence(*missing_correction_control()) > 1e-3
 
     def test_dimension_mismatch(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=1, seed=7))
@@ -333,3 +410,15 @@ def test_micro_pipeline_ground_energy(seed):
     samples = run_qpe(walk, eigenstate, m=m_bits, shots=300, seed=seed)
     energy = shift + lam * math.sin(signed_phase(samples.mode_phase()))
     assert abs(energy - ground) <= lam * 2 * math.pi * 2**-m_bits + 1e-9
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test dependency only: the package never imports it."""
+    code = ("import sys, dfqre, dfqre.cli, dfqre.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(dfqre.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "[]\n"
