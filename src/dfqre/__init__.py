@@ -20,9 +20,9 @@ from .physcost import (CodeParams, FactoryDesign, PhysicalEstimate,
                        QubitParams, count_factories, design_factories,
                        estimate_physical, get_preset, layout_tiles,
                        logical_error_rate, select_distance)
-from .pipeline import (FragmentEnergyLedger, ReportRow, binding_affinity,
-                       fit_scaling, fmo_assemble, load_reference_table,
-                       reproduce_table)
+from .pipeline import (DimerEnergy, FragmentEnergyLedger, ReportRow,
+                       binding_affinity, fit_scaling, fmo_assemble,
+                       load_reference_table, reproduce_table)
 
 __all__ = [
     "Atom", "Geometry", "IntegralSet", "SyntheticSpec", "gen_synthetic",
@@ -34,8 +34,8 @@ __all__ = [
     "CodeParams", "FactoryDesign", "PhysicalEstimate", "QubitParams",
     "count_factories", "design_factories", "estimate_physical", "get_preset",
     "layout_tiles", "logical_error_rate", "select_distance",
-    "FragmentEnergyLedger", "ReportRow", "binding_affinity", "fit_scaling",
-    "fmo_assemble", "load_reference_table", "reproduce_table",
+    "DimerEnergy", "FragmentEnergyLedger", "ReportRow", "binding_affinity",
+    "fit_scaling", "fmo_assemble", "load_reference_table", "reproduce_table",
 ]
 
 __version__ = "0.1.0"

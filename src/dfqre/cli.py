@@ -22,7 +22,9 @@ A config file that is not JSON is a ``parse`` error. An unknown or
 missing key, a value of the wrong JSON type or a non-object section is
 ``invalid-input``, named by its dotted path (``cfg.json.code.d_min``); a
 preset takes its name from its key, so a ``name`` key is unknown. The same
-faults in a decomposition, logical or ledger file are ``parse`` errors.
+faults in a decomposition, logical or ledger file are ``parse`` errors, as
+are non-UTF-8 bytes in any input file. A ledger pair that is not two known
+labels, a repeated pair or a non-finite energy is ``invalid-input``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import dataclasses
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import codec, dfact, ingest, pipeline
 from .errors import DfqreError, ValidationError
@@ -46,7 +47,8 @@ CONFIG_ENV_VAR = "DFQRE_CONFIG"
 @dataclasses.dataclass(frozen=True)
 class _ConfigFile:
     estimation: dict = dataclasses.field(default_factory=dict)
-    qubit_presets: dict = dataclasses.field(default_factory=dict)
+    qubit_presets: dict[str, QubitParams] = dataclasses.field(
+        default_factory=dict)
     code: CodeParams = dataclasses.field(default_factory=CodeParams)
 
 
@@ -54,7 +56,7 @@ def _settings(args) -> tuple[EstimationConfig, QubitParams, CodeParams]:
     """Estimation config, qubit parameters and code constants: the config
     file (--config or $DFQRE_CONFIG) overridden by the command's flags."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    raw = codec.loads(_ConfigFile, Path(path).read_text(), path,
+    raw = codec.loads(_ConfigFile, codec.read_text(path), path,
                       ValidationError) if path else _ConfigFile()
     estimation = dict(raw.estimation)
     if getattr(args, "eps", None) is not None:
@@ -63,11 +65,9 @@ def _settings(args) -> tuple[EstimationConfig, QubitParams, CodeParams]:
         estimation.update(error_budget=args.budget, budget_split=None)
     config = codec.decode(EstimationConfig, estimation, f"{path}.estimation",
                           ValidationError)
-    presets = {name: dataclasses.replace(codec.decode(
-        QubitParams, spec, f"{path}.qubit_presets.{name}", ValidationError),
-        name=name) for name, spec in raw.qubit_presets.items()}
     preset = getattr(args, "preset", "qubit_gate_ns_e4")
-    qp = presets[preset] if preset in presets else get_preset(preset)
+    qp = (dataclasses.replace(raw.qubit_presets[preset], name=preset)
+          if preset in raw.qubit_presets else get_preset(preset))
     return config, qp, raw.code
 
 
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_parse_xyz(args):
-    geom = ingest.parse_xyz(Path(args.file).read_text())
+    geom = ingest.parse_xyz(codec.read_text(args.file))
     if args.json:
         print(codec.dumps(geom))
     else:
@@ -159,7 +159,7 @@ def _cmd_parse_xyz(args):
 
 
 def _cmd_factorize(args):
-    integrals = ingest.parse_integrals(Path(args.integrals).read_text())
+    integrals = ingest.parse_integrals(codec.read_text(args.integrals))
     if args.eps is not None and (args.tol_first is not None
                                  or args.tol_second is not None):
         raise ValidationError("--eps excludes --tol-first/--tol-second")
@@ -174,7 +174,7 @@ def _cmd_factorize(args):
 
 def _cmd_estimate_logical(args):
     config, _, _ = _settings(args)
-    df = dfact.DFDecomposition.loads(Path(args.df_file).read_text())
+    df = dfact.DFDecomposition.loads(codec.read_text(args.df_file))
     _emit(estimate_logical(df, config).dumps(), args.output)
 
 
@@ -190,9 +190,8 @@ def _emit(text: str, path: str | None):
 def _cmd_estimate_physical(args):
     config, qp, code = _settings(args)
     if args.from_logical:
-        logical = codec.loads(LogicalEstimate,
-                              Path(args.from_logical).read_text(),
-                              args.from_logical)
+        logical = codec.loads(LogicalEstimate, codec.read_text(
+            args.from_logical), args.from_logical)
         qubits, t_count = logical.n_logical_qubits, logical.t_count
     elif args.qubits is not None and args.tcount is not None:
         qubits, t_count = args.qubits, _exact_count(args.tcount)
@@ -230,17 +229,17 @@ def _cmd_reproduce_table(args):
 
 
 def _cmd_fit_scaling(args):
-    with open(args.csv) as handle, codec.reading(args.csv):
-        reader = csv.DictReader(
-            line for line in handle if not line.startswith("#"))
+    with codec.reading(args.csv):
+        reader = csv.DictReader(line for line in codec.read_text(
+            args.csv).splitlines() if not line.startswith("#"))
         points = [(float(rec["n_orb"]), float(rec["t_count"])) for rec in reader]
     exponent = pipeline.fit_scaling(points)
     print(json.dumps({"points": len(points), "exponent": exponent}))
 
 
 def _cmd_fmo_assemble(args):
-    ledger = codec.decode_json(Path(args.ledger).read_text(), args.ledger,
-                               pipeline.FragmentEnergyLedger.from_json_dict)
+    ledger = codec.loads(pipeline.FragmentEnergyLedger,
+                         codec.read_text(args.ledger), args.ledger)
     total = pipeline.fmo_assemble(ledger)
     print(json.dumps({"total_energy_hartree": total}))
 

@@ -4,8 +4,9 @@ A field is written under its name or ``metadata["json"]`` (None leaves it
 out) and multiplied by ``metadata["scale"]`` if set (such fields are only
 written); arrays and tuples become lists, and None values are omitted.
 Decoding follows the annotations (int, float, str, dict, np.ndarray,
-tuple[X, ...], X | None, nested dataclasses) and names the dotted field of
-an unknown or missing key or a mistyped value, e.g. ``l.json.t_count``.
+tuple[X, ...], dict[str, X], X | None, nested dataclasses) and names the
+dotted field (a dict value by its key) of an unknown or missing key or a
+mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``.
 
 ``dumps`` writes exactly the text of ``json.dumps(..., indent=1)``. With an
 indent, json falls back to its pure-Python encoder, so a small layout
@@ -115,9 +116,12 @@ def decode(cls, data, where: str, error=ParseError):
     args = typing.get_args(cls)
     if type(None) in args:  # X | None
         return None if data is None else decode(args[0], data, where, error)
-    if args and isinstance(data, list):  # tuple[X, ...]
+    if args and isinstance(data, list) and ... in args:  # tuple[X, ...]
         return tuple(decode(args[0], item, f"{where}[{i}]", error)
                      for i, item in enumerate(data))
+    if args and isinstance(data, dict) and ... not in args:  # dict[str, X]
+        return {key: decode(args[1], item, f"{where}.{key}", error)
+                for key, item in data.items()}
     if cls is np.ndarray and isinstance(data, list):
         with contextlib.suppress(ValueError):  # ragged nesting
             array = np.array(data)
@@ -126,8 +130,8 @@ def decode(cls, data, where: str, error=ParseError):
     elif cls in (int, float, str, dict) and not isinstance(data, bool) \
             and isinstance(data, (int, float) if cls is float else cls):
         return data
-    kind = ("a JSON object" if dataclasses.is_dataclass(cls)
-            else "a list" if args
+    kind = ("a list" if ... in args
+            else "a JSON object" if args or dataclasses.is_dataclass(cls)
             else "an array of numbers" if cls is np.ndarray
             else cls.__name__)
     raise error(f"{where} must be {kind}, got {reprlib.repr(data)}")
@@ -135,8 +139,13 @@ def decode(cls, data, where: str, error=ParseError):
 
 def loads(cls, text: str, where: str, error=ParseError):
     """``decode`` of JSON ``text``; non-JSON text is always a ParseError."""
-    return decode_json(text, where, lambda data: decode(cls, data, where,
-                                                        error))
+    with reading(where):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{where} is not JSON: {exc.msg}",
+                             line=exc.lineno) from None
+        return decode(cls, data, where, error)
 
 
 @contextlib.contextmanager
@@ -151,16 +160,7 @@ def reading(what: str):
         raise ParseError(f"{what} is malformed: {exc}") from None
 
 
-def decode_json(text: str, what: str, convert=None):
-    """The JSON document ``text``, passed through ``convert`` if given.
-
-    Text that is not JSON, or a document ``convert`` cannot read (a missing
-    key, a value of the wrong type), raises ParseError naming ``what``.
-    """
-    with reading(what):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{what} is not JSON: {exc.msg}",
-                             line=exc.lineno) from None
-        return data if convert is None else convert(data)
+def read_text(path: str) -> str:
+    """The UTF-8 text of file ``path``; other bytes are a ParseError."""
+    with reading(path), open(path, encoding="utf-8") as handle:
+        return handle.read()

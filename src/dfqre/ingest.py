@@ -46,7 +46,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,12 +6,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .codec import reading
+from .codec import read_text, reading
 from .errors import ValidationError
 from .logicalcost import EstimationConfig
 from .physcost import CodeParams, QubitParams, estimate_physical
@@ -37,12 +37,8 @@ class ReportRow:
 
 def load_reference_table(path: str | None = None) -> list[ReportRow]:
     """Load the bundled 47-row fragment resource table (or a CSV like it)."""
-    if path is None:
-        text = resources.files("dfqre.data").joinpath(
-            "ab16_resource_table.csv").read_text()
-    else:
-        with open(path) as handle:
-            text = handle.read()
+    text = read_text(path) if path is not None else resources.files(
+        "dfqre.data").joinpath("ab16_resource_table.csv").read_text()
     where = path or "the bundled table"
     rows = []
     reader = csv.DictReader(
@@ -193,35 +189,39 @@ def comparison_csv(comparison: TableComparison) -> str:
 
 
 @dataclass(frozen=True)
+class DimerEnergy:
+    pair: tuple[str, ...]
+    energy: float
+
+
+@dataclass(frozen=True)
 class FragmentEnergyLedger:
     """Monomer and (optional) dimer fragment energies, in Hartree."""
 
-    monomers: dict
-    dimers: dict
+    monomers: dict[str, float] = field(default_factory=dict)
+    dimers: tuple[DimerEnergy, ...] = ()
 
     def __post_init__(self):
         monomers = {str(k): float(v) for k, v in self.monomers.items()}
         dimers = {}
-        for key, value in self.dimers.items():
-            pair = tuple(sorted(str(label) for label in key))
+        for dimer in self.dimers:
+            pair = tuple(sorted(str(label) for label in dimer.pair))
             if len(pair) != 2 or pair[0] == pair[1]:
-                raise ValidationError(f"dimer key {key!r} is not a label pair")
+                raise ValidationError(
+                    f"dimer pair {dimer.pair!r} is not a label pair")
             if pair in dimers:
                 raise ValidationError(f"duplicate dimer entry {pair}")
             for label in pair:
                 if label not in monomers:
                     raise ValidationError(
                         f"dimer {pair} references unknown monomer {label!r}")
-            dimers[pair] = float(value)
+            dimers[pair] = float(dimer.energy)
+        for what, energy in [*monomers.items(), *dimers.items()]:
+            if not math.isfinite(energy):
+                raise ValidationError(f"non-finite energy {energy} for {what}")
         object.__setattr__(self, "monomers", monomers)
-        object.__setattr__(self, "dimers", dimers)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FragmentEnergyLedger":
-        dimers = {}
-        for entry in data.get("dimers", []):
-            dimers[(entry["pair"][0], entry["pair"][1])] = entry["energy"]
-        return cls(monomers=dict(data.get("monomers", {})), dimers=dimers)
+        object.__setattr__(self, "dimers", tuple(
+            DimerEnergy(pair, energy) for pair, energy in dimers.items()))
 
 
 def fmo_assemble(ledger: FragmentEnergyLedger) -> float:
@@ -231,8 +231,9 @@ def fmo_assemble(ledger: FragmentEnergyLedger) -> float:
     absent pairs contribute no correction.
     """
     total = sum(ledger.monomers.values())
-    for (a, b), e_pair in ledger.dimers.items():
-        total += e_pair - ledger.monomers[a] - ledger.monomers[b]
+    for dimer in ledger.dimers:
+        a, b = dimer.pair
+        total += dimer.energy - ledger.monomers[a] - ledger.monomers[b]
     return total
 
 

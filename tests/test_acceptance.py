@@ -20,8 +20,9 @@ from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals, \
 from dfqre.errors import ParseError
 from dfqre.logicalcost import EstimationConfig, walk_step_cost
 from dfqre.physcost import get_preset, logical_error_rate, layout_tiles
-from dfqre.pipeline import (FragmentEnergyLedger, binding_affinity,
-                            fit_scaling, fmo_assemble, reproduce_table)
+from dfqre.pipeline import (DimerEnergy, FragmentEnergyLedger,
+                            binding_affinity, fit_scaling, fmo_assemble,
+                            reproduce_table)
 from dfqre.verify import (build_fock_matrix, build_walk_operator,
                           check_df_equivalence, run_qpe, signed_phase,
                           walk_spectrum_report)
@@ -266,13 +267,15 @@ def test_criterion_8_workflow_arithmetic():
     """FMO assembly and binding-affinity arithmetic, including the
     15-monomer/105-dimer case and the Hartree -> kJ/mol conversion."""
     assert fmo_assemble(FragmentEnergyLedger(
-        monomers={"A": -1.0, "B": -2.0}, dimers={})) == -3.0
+        monomers={"A": -1.0, "B": -2.0}, dimers=())) == -3.0
     assert fmo_assemble(FragmentEnergyLedger(
         monomers={"A": -1.0, "B": -2.0},
-        dimers={("A", "B"): -3.5})) == pytest.approx(-3.5, abs=1e-15)
+        dimers=(DimerEnergy(("A", "B"), -3.5),))) == pytest.approx(-3.5,
+                                                                   abs=1e-15)
 
     labels = [f"f{i}" for i in range(15)]
-    dimers = {pair: -2.0 for pair in itertools.combinations(labels, 2)}
+    dimers = tuple(DimerEnergy(pair, -2.0)
+                   for pair in itertools.combinations(labels, 2))
     assert len(dimers) == 105
     total = fmo_assemble(FragmentEnergyLedger(
         monomers={name: -1.0 for name in labels}, dimers=dimers))

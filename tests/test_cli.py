@@ -112,6 +112,11 @@ def test_fmo_assemble_cli(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["total_energy_hartree"] == pytest.approx(-3.5, abs=1e-12)
 
+    # integer energies are read as floats, so the total prints as one
+    path.write_text(json.dumps({"monomers": {"A": -1, "B": -2}}))
+    assert main(["fmo-assemble", str(path)]) == 0
+    assert capsys.readouterr().out == '{"total_energy_hartree": -3.0}\n'
+
 
 def test_binding_affinity_cli(capsys):
     assert main(["binding-affinity", "-10.5", "-9", "-1"]) == 0
@@ -380,6 +385,7 @@ def test_parse_xyz_json_golden_bytes(capsys):
 
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
            "qpe_steps": 10**6, "lambda": 5.0}
+LEDGER = {"monomers": {"A": -1.0, "B": -2.0}}
 
 
 @pytest.mark.parametrize("name, text, argv, category", [
@@ -419,6 +425,24 @@ LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
      ["estimate-physical", "--from-logical", "{}"], "parse"),
     ("config", json.dumps({"qubit_presets": {"slow": {"name": "x"}}}),
      ["--config", "{}", "reproduce-table"], "invalid-input"),
+    ("ledger", json.dumps(dict(LEDGER, dimers=[{"pair": ["A"],
+                                                "energy": -3.0}])),
+     ["fmo-assemble", "{}"], "invalid-input"),
+    ("ledger", json.dumps({"monomers": {"A": -1.0, "B": -2.0, "C": -0.5},
+                           "dimers": [{"pair": ["A", "B", "C"],
+                                       "energy": -3.0}]}),
+     ["fmo-assemble", "{}"], "invalid-input"),
+    ("ledger", json.dumps({"monomers": {"A": "-1"}}), ["fmo-assemble", "{}"],
+     "parse"),
+    ("ledger", json.dumps({"monomers": {"A": True}}), ["fmo-assemble", "{}"],
+     "parse"),
+    ("ledger", json.dumps({"monomers": {"A": float("nan")}}),
+     ["fmo-assemble", "{}"], "invalid-input"),
+    ("ledger", json.dumps(dict(LEDGER, dimers=[{"pair": ["A", "B"],
+                                                "energy": float("nan")}])),
+     ["fmo-assemble", "{}"], "invalid-input"),
+    ("ledger", json.dumps(dict(LEDGER, bogus=[])), ["fmo-assemble", "{}"],
+     "parse"),
 ])
 def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
                                          category):
@@ -427,7 +451,27 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
     assert main([arg.format(path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == category
+    err = json.loads(captured.err)
+    assert err["error"] == category
+    # no document knows a key "bogus"; where one holds it, the message names it
+    assert ("'bogus'" in err["message"]) == ('"bogus"' in text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse-xyz", "{}"], ["factorize", "{}"], ["estimate-logical", "{}"],
+    ["estimate-physical", "--from-logical", "{}"], ["reproduce-table", "{}"],
+    ["fit-scaling", "{}"], ["fmo-assemble", "{}"],
+    ["--config", "{}", "reproduce-table"],
+])
+def test_non_utf8_file_reports_parse(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff")
+    assert main([arg.format(path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "parse"
+    assert str(path) in err["message"]
 
 
 TABLE_HEADER = ("fragment,basis,n_orb,n_logical,t_count,distance,n_physical,"

@@ -6,15 +6,17 @@ estimate or a config section exits 1 with its documented category."""
 import json
 from importlib import resources
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dfqre import codec
 from dfqre.cli import main
 from dfqre.dfact import DFDecomposition, factorize
+from dfqre.errors import ParseError
 from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_xyz
 from dfqre.logicalcost import estimate_logical
-from dfqre.physcost import estimate_physical
+from dfqre.physcost import QubitParams, estimate_physical
 
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
            "qpe_steps": 10**6, "lambda": 5.0,
@@ -111,6 +113,17 @@ def test_fuzzed_documents_are_valid_unchanged(tmp_path, capsys):
     assert main(["estimate-physical", "--from-logical", str(logical)]) == 0
     assert main([arg.format(config) for arg in CONFIG_ARGV]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"slow": {"t_gate": "x"}}, "doc.slow.t_gate must be float, got 'x'"),
+    ({"slow": [1]}, "doc.slow must be a JSON object, got [1]"),
+    ([{"t_gate": 1e-7}], "doc must be a JSON object, got [{'t_gate': 1e-07}]"),
+])
+def test_mistyped_dict_value_names_its_key(data, message):
+    with pytest.raises(ParseError) as info:
+        codec.decode(dict[str, QubitParams], data, "doc")
+    assert str(info.value) == message
 
 
 @settings(max_examples=40, deadline=None)

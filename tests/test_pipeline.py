@@ -5,13 +5,16 @@ import math
 import pytest
 
 from dfqre.errors import ValidationError
-from dfqre.pipeline import (FragmentEnergyLedger, ReportRow, binding_affinity,
-                            comparison_csv, fit_scaling, fmo_assemble,
-                            load_reference_table, reproduce_table)
+from dfqre.pipeline import (DimerEnergy, FragmentEnergyLedger, ReportRow,
+                            binding_affinity, comparison_csv, fit_scaling,
+                            fmo_assemble, load_reference_table,
+                            reproduce_table)
 
 
 def ledger(monomers, dimers=None):
-    return FragmentEnergyLedger(monomers=monomers, dimers=dimers or {})
+    """A ledger of ``monomers`` and a {pair: energy} dict of dimers."""
+    return FragmentEnergyLedger(monomers=monomers, dimers=tuple(
+        DimerEnergy(pair, energy) for pair, energy in (dimers or {}).items()))
 
 
 class TestFmoAssemble:
