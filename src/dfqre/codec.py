@@ -8,15 +8,7 @@ tuple[X, ...], dict[str, X], X | None, nested dataclasses) and names the
 dotted field (a dict value by its key) of an unknown or missing key or a
 mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``.
 
-``dumps`` writes exactly the text of ``json.dumps(..., indent=1)``. With an
-indent, json falls back to its pure-Python encoder, so a small layout
-writer walks dicts and lists of containers itself and hands each list of
-numbers (items of type int, float, bool or None exactly) to json's C
-encoder in one call, turning its ``", "`` separators into indented line
-breaks. Both encoders write a float as ``float.__repr__`` (and NaN,
-Infinity as json does), so the bytes are the same. Only number lists take
-this path: a string may contain ``", "``, so a list holding one is written
-item by item.
+``dumps`` indents by one space; ``DFDecomposition.dumps`` writes one line.
 """
 
 from __future__ import annotations
@@ -46,55 +38,23 @@ def _fields(cls) -> tuple:
         if f.metadata.get("json", f.name) is not None)
 
 
-def _encode(value):
+def encode(value):
     if isinstance(value, (int, float, str, dict)):  # JSON as it stands
         return value
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (tuple, list)):
-        return [_encode(item) for item in value]
+        return [encode(item) for item in value]
     data = {}  # a dataclass
     for name, key, _, _, scale in _fields(type(value)):
         item = getattr(value, name)
         if item is not None:
-            data[key] = _encode(item) if scale is None else item * scale
+            data[key] = encode(item) if scale is None else item * scale
     return data
 
 
-_C_ENCODER = json.JSONEncoder(check_circular=False)
-_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
-
-
 def dumps(obj) -> str:
-    parts = []
-    _layout(_encode(obj), "\n", parts)
-    return "".join(parts)
-
-
-def _layout(value, newline: str, parts: list) -> None:
-    """Append the ``json.dumps(value, indent=1)`` text of ``value``, whose
-    lines start with ``newline``, to ``parts``."""
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        parts.append(_C_ENCODER.encode(value))  # a scalar, [] or {}
-        return
-    inner = newline + " "
-    if isinstance(value, dict):
-        parts.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            # the key as json writes it, a non-string one turned to text
-            key = _C_ENCODER.encode({key: 0})[1:-4]
-            parts.append(f"{',' if i else ''}{inner}{key}: ")
-            _layout(item, inner, parts)
-        parts.append(newline + "}")
-    elif _NUMBER_TYPES.issuperset(map(type, value)):
-        text = _C_ENCODER.encode(value)
-        parts.append(f"[{inner}{text[1:-1].replace(', ', ',' + inner)}{newline}]")
-    else:
-        parts.append("[")
-        for i, item in enumerate(value):
-            parts.append(f"{',' if i else ''}{inner}")
-            _layout(item, inner, parts)
-        parts.append(newline + "]")
+    return json.dumps(encode(obj), indent=1)
 
 
 def decode(cls, data, where: str, error=ParseError):

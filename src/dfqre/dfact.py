@@ -14,6 +14,7 @@ stage-2 eigendecomposition of leaf r.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -111,7 +112,9 @@ class DFDecomposition:
         return (self.n_orb, self.n_leaves, self.total_leaf_eigs)
 
     def dumps(self) -> str:
-        return codec.dumps(self)
+        # one line: json indents only in its pure-Python encoder, and this
+        # document holds every leaf vector
+        return json.dumps(codec.encode(self))
 
     @classmethod
     def loads(cls, text: str) -> "DFDecomposition":

@@ -57,8 +57,8 @@ class EstimationConfig:
     rotation_cost_coefficient: float = 3.0
 
     def __post_init__(self):
-        if not self.eps_total_energy > 0:
-            raise ValidationError("eps_total_energy must be positive")
+        if not 0 < self.eps_total_energy < math.inf:
+            raise ValidationError("eps_total_energy must be positive and finite")
         if not 0 < self.error_budget < 1:
             raise ValidationError("error_budget must lie in (0, 1)")
         if not self.rotation_cost_coefficient > 0:
@@ -178,8 +178,11 @@ def estimate_logical(df: DFDecomposition,
     """
     config = config or EstimationConfig()
     _, _, lam = lambda_norms(df)
-    steps = qpe_steps(lam, config.eps_total_energy / 2.0)
-    cost = walk_step_cost(df.dims(), config, total_steps=max(steps, 1))
+    try:  # a tolerance that underflows to 0 or a count past the float range
+        steps = qpe_steps(lam, config.eps_total_energy / 2.0)
+        cost = walk_step_cost(df.dims(), config, total_steps=max(steps, 1))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(f"no finite T count for {config}") from None
     t_count = steps * cost.t_per_step
     phase_bits = math.ceil(math.log2(steps)) if steps > 0 else 0
     n_logical = 2 * df.n_orb + phase_bits + cost.ancilla_qubits

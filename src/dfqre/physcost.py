@@ -43,8 +43,10 @@ class QubitParams:
     p_meas: float = 1e-4
 
     def __post_init__(self):
-        if not (self.t_gate > 0 and self.t_meas > 0):
-            raise ValidationError("gate and measurement times must be positive")
+        if not (self.t_gate > 0 and self.t_meas > 0
+                and math.isfinite(self.syndrome_round_time * 1e15)):
+            raise ValidationError("gate and measurement times must be positive"
+                                  " and finite in femtoseconds")
         for p in (self.p_gate, self.p_meas):
             if not 0 <= p < 1:
                 raise ValidationError("error probabilities must lie in [0, 1)")
@@ -53,6 +55,11 @@ class QubitParams:
     def syndrome_round_time(self) -> float:
         """Seconds per syndrome extraction round: 4 gates + 2 measurements."""
         return 4.0 * self.t_gate + 2.0 * self.t_meas
+
+    @property
+    def syndrome_round_fs(self) -> int:
+        """The syndrome round time in whole femtoseconds."""
+        return round(self.syndrome_round_time * 1e15)
 
 
 PRESETS = {"qubit_gate_ns_e4": QubitParams()}
@@ -194,8 +201,8 @@ def design_factories(qp: QubitParams, per_t_error_budget: float,
             "no stage distance suppresses Clifford error enough")
     d_last = distances[-1]
     qubits = FACTORY_TILES * 2 * d_last * d_last
-    round_fs = round(qp.syndrome_round_time * 1e15)
-    duration_fs = int(FACTORY_CYCLES_PER_OUTPUT * d_last * round_fs)
+    duration_fs = int(FACTORY_CYCLES_PER_OUTPUT * d_last
+                      * qp.syndrome_round_fs)
     return FactoryDesign(rounds=rounds, stage_distances=distances,
                          qubits_per_factory=qubits, duration_fs=duration_fs,
                          output_error=chain[rounds])
@@ -207,8 +214,7 @@ def count_factories(t_count: int, cycles: int, d: int, qp: QubitParams,
     ceil(t_count * duration / (cycles * t_cycle(d)))."""
     if t_count < 1 or cycles < 1 or d < 1:
         raise ValidationError("t_count, cycles and d must be positive")
-    round_fs = round(qp.syndrome_round_time * 1e15)
-    cycle_fs = d * round_fs
+    cycle_fs = d * qp.syndrome_round_fs
     return -(-(t_count * fd.duration_fs) // (cycles * cycle_fs))
 
 
@@ -263,6 +269,9 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
     factory_total = n_factories * fd.qubits_per_factory
     n_physical = tiles * 2 * d * d + factory_total
     runtime = cycles * (qp.syndrome_round_time * d)
+    if not math.isfinite(runtime) or fd.duration_fs > sys.float_info.max:
+        raise ValidationError(
+            "runtime or factory duration past the float range")
     failure = tiles * cycles * logical_error_rate(d, qp.p_gate, code)
     return PhysicalEstimate(distance=d, tiles=tiles, n_factories=n_factories,
                             factory_qubits_total=factory_total,

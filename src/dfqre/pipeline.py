@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 
 from .codec import read_text, reading
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .logicalcost import EstimationConfig
 from .physcost import CodeParams, QubitParams, estimate_physical
 
@@ -230,10 +230,12 @@ def fmo_assemble(ledger: FragmentEnergyLedger) -> float:
     E = sum_I E_I + sum_{I<J} (E_IJ - E_I - E_J) over the dimers present;
     absent pairs contribute no correction.
     """
-    total = sum(ledger.monomers.values())
+    total = sum(ledger.monomers.values(), 0.0)
     for dimer in ledger.dimers:
         a, b = dimer.pair
         total += dimer.energy - ledger.monomers[a] - ledger.monomers[b]
+    if not math.isfinite(total):
+        raise NumericalError(f"total energy {total} is not a finite number")
     return total
 
 
@@ -244,6 +246,9 @@ def binding_affinity(e_complex: float, e_apo: float, e_ion: float
         if not math.isfinite(value):
             raise ValidationError("energies must be finite")
     delta = e_complex - e_apo - e_ion
+    if not math.isfinite(delta * HARTREE_TO_KJ_PER_MOL):  # so is delta then
+        raise NumericalError(f"binding energy {delta} Hartree is past the "
+                             "float range in kJ/mol")
     return delta, delta * HARTREE_TO_KJ_PER_MOL
 
 

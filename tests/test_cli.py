@@ -11,7 +11,16 @@ import pytest
 
 import dfqre
 from dfqre.cli import main
+from dfqre.dfact import factorize
 from dfqre.ingest import SyntheticSpec, gen_synthetic, serialize_integrals
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
 
 WATER_XYZ = "3\nwater\nO 0.0 0.0 0.0\nH 0.9572 0.0 0.0\nH -0.2399872 0.9266272 0.0\n"
 
@@ -37,7 +46,7 @@ def test_parse_xyz_json(tmp_path, capsys):
     path = tmp_path / "w.xyz"
     path.write_text(WATER_XYZ)
     assert main(["parse-xyz", str(path), "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     assert data["label"] == "water"
     assert len(data["atoms"]) == 3
 
@@ -46,7 +55,7 @@ def test_parse_error_reports_category(tmp_path, capsys):
     path = tmp_path / "bad.xyz"
     path.write_text("Zz 0 0 0\n")
     assert main(["parse-xyz", str(path)]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["error"] == "parse"
 
 
@@ -59,13 +68,13 @@ def test_full_estimation_chain(tmp_path, integral_file, capsys):
     logical_path = tmp_path / "logical.json"
     assert main(["estimate-logical", str(df_path), "--eps", "1e-3",
                  "-o", str(logical_path)]) == 0
-    logical = json.loads(logical_path.read_text())
+    logical = strict_json(logical_path.read_text())
     assert logical["t_count"] > 0
     capsys.readouterr()
 
     assert main(["estimate-physical", "--from-logical", str(logical_path),
                  "--preset", "qubit_gate_ns_e4"]) == 0
-    physical = json.loads(capsys.readouterr().out)
+    physical = strict_json(capsys.readouterr().out)
     assert physical["n_physical_qubits"] == \
         physical["tiles"] * 2 * physical["distance"] ** 2 \
         + physical["factory_qubits_total"]
@@ -74,14 +83,14 @@ def test_full_estimation_chain(tmp_path, integral_file, capsys):
 def test_estimate_physical_direct_args(capsys):
     assert main(["estimate-physical", "--qubits", "661",
                  "--tcount", "4.00e10"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     assert data["distance"] == 15
     assert data["n_factories"] == 15
 
 
 def test_estimate_physical_requires_inputs(capsys):
     assert main(["estimate-physical"]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["error"] == "invalid-input"
 
 
@@ -89,7 +98,7 @@ def test_reproduce_table_default_fixture(capsys, tmp_path):
     out_csv = tmp_path / "cmp.csv"
     assert main(["reproduce-table", "--csv", str(out_csv)]) == 0
     out = capsys.readouterr().out
-    summary = json.loads(out.strip().splitlines()[-1])
+    summary = strict_json(out.strip().splitlines()[-1])
     assert summary["rows"] == 47
     assert summary["distance_exact"] >= 45
     assert out_csv.exists()
@@ -99,7 +108,7 @@ def test_fit_scaling_cli(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("n_orb,t_count\n10,1e5\n100,1e10\n")
     assert main(["fit-scaling", str(path)]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     assert data["exponent"] == pytest.approx(5.0, abs=1e-9)
 
 
@@ -109,7 +118,7 @@ def test_fmo_assemble_cli(tmp_path, capsys):
     path = tmp_path / "ledger.json"
     path.write_text(json.dumps(ledger))
     assert main(["fmo-assemble", str(path)]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     assert data["total_energy_hartree"] == pytest.approx(-3.5, abs=1e-12)
 
     # integer energies are read as floats, so the total prints as one
@@ -117,12 +126,34 @@ def test_fmo_assemble_cli(tmp_path, capsys):
     assert main(["fmo-assemble", str(path)]) == 0
     assert capsys.readouterr().out == '{"total_energy_hartree": -3.0}\n'
 
+    # no fragments: a float total too
+    path.write_text("{}")
+    assert main(["fmo-assemble", str(path)]) == 0
+    assert capsys.readouterr().out == '{"total_energy_hartree": 0.0}\n'
+
+    # a total past the float range is no JSON number
+    path.write_text(json.dumps({"monomers": {"A": 1e308, "B": 1e308}}))
+    assert main(["fmo-assemble", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert strict_json(captured.err)["error"] == "numerical"
+
 
 def test_binding_affinity_cli(capsys):
     assert main(["binding-affinity", "-10.5", "-9", "-1"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    data = strict_json(capsys.readouterr().out)
     assert data["delta_e_hartree"] == pytest.approx(-0.5)
     assert data["delta_e_kj_per_mol"] == pytest.approx(-1312.7498)
+
+    # argparse reads "-1.5e2" as an option unless "--" precedes it
+    assert main(["binding-affinity", "--", "-1.5e2", "0", "0"]) == 0
+    assert strict_json(capsys.readouterr().out)["delta_e_hartree"] == -150.0
+
+    # finite Hartree, but past the float range in kJ/mol
+    assert main(["binding-affinity", "1e306", "0", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert strict_json(captured.err)["error"] == "numerical"
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch, integral_file):
@@ -136,22 +167,22 @@ def test_config_file_and_env(tmp_path, capsys, monkeypatch, integral_file):
 
     assert main(["--config", str(config_path),
                  "estimate-logical", str(df_path)]) == 0
-    loose = json.loads(capsys.readouterr().out)
+    loose = strict_json(capsys.readouterr().out)
 
     monkeypatch.setenv("DFQRE_CONFIG", str(config_path))
     assert main(["estimate-logical", str(df_path)]) == 0
-    via_env = json.loads(capsys.readouterr().out)
+    via_env = strict_json(capsys.readouterr().out)
     assert via_env["t_count"] == loose["t_count"]
 
     monkeypatch.delenv("DFQRE_CONFIG")
     assert main(["estimate-logical", str(df_path)]) == 0
-    default = json.loads(capsys.readouterr().out)
+    default = strict_json(capsys.readouterr().out)
     assert default["t_count"] > loose["t_count"]  # tighter default accuracy
 
 
 def test_missing_file_io_error(capsys):
     assert main(["parse-xyz", "/nonexistent/file.xyz"]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["error"] == "io"
 
 
@@ -164,10 +195,10 @@ def test_custom_qubit_preset_from_config(tmp_path, capsys):
     assert main(["--config", str(config_path), "estimate-physical",
                  "--qubits", "661", "--tcount", "4.00e10",
                  "--preset", "slow"]) == 0
-    custom = json.loads(capsys.readouterr().out)
+    custom = strict_json(capsys.readouterr().out)
     assert main(["estimate-physical", "--qubits", "661",
                  "--tcount", "4.00e10"]) == 0
-    default = json.loads(capsys.readouterr().out)
+    default = strict_json(capsys.readouterr().out)
     assert custom["distance"] > default["distance"]
     assert custom["runtime_s"] > default["runtime_s"]
 
@@ -175,7 +206,7 @@ def test_custom_qubit_preset_from_config(tmp_path, capsys):
 def test_unknown_preset_reports_category(capsys):
     assert main(["estimate-physical", "--qubits", "10", "--tcount", "100",
                  "--preset", "nope"]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["error"] == "invalid-input"
 
 
@@ -185,7 +216,7 @@ def test_reproduce_table_explicit_fixture(tmp_path, capsys):
     fixture = tmp_path / "table.csv"
     fixture.write_text(bundled)
     assert main(["reproduce-table", str(fixture)]) == 0
-    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    summary = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["rows"] == 47
 
 
@@ -193,10 +224,10 @@ def test_estimate_physical_budget_knob(capsys):
     # a 3x looser budget relaxes the selected code distance
     assert main(["estimate-physical", "--qubits", "1290",
                  "--tcount", "6.20e11"]) == 0
-    tight = json.loads(capsys.readouterr().out)
+    tight = strict_json(capsys.readouterr().out)
     assert main(["estimate-physical", "--qubits", "1290",
                  "--tcount", "6.20e11", "--budget", "0.03"]) == 0
-    loose = json.loads(capsys.readouterr().out)
+    loose = strict_json(capsys.readouterr().out)
     assert tight["distance"] == 17
     assert loose["distance"] == 15
 
@@ -222,10 +253,10 @@ def test_tcount_parsed_exactly(capsys):
     # 2**53 + 1 is the first integer a float cannot hold
     assert main(["estimate-physical", "--qubits", "10",
                  "--tcount", str(2**53 + 1)]) == 0
-    assert json.loads(capsys.readouterr().out)["cycles"] == 2**53 + 1
+    assert strict_json(capsys.readouterr().out)["cycles"] == 2**53 + 1
     assert main(["estimate-physical", "--qubits", "10",
                  "--tcount", "1.17e14"]) == 0
-    assert json.loads(capsys.readouterr().out)["cycles"] == 117 * 10**12
+    assert strict_json(capsys.readouterr().out)["cycles"] == 117 * 10**12
 
 
 @pytest.mark.parametrize("tcount", ["nan", "inf", "-inf", "1.5", "abc", "",
@@ -233,7 +264,7 @@ def test_tcount_parsed_exactly(capsys):
 def test_tcount_rejects_non_integers(tcount, capsys):
     assert main(["estimate-physical", "--qubits", "10",
                  f"--tcount={tcount}"]) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["error"] == "invalid-input"
 
 
@@ -271,7 +302,7 @@ def test_factorize_bad_eps_reports_invalid_input(integral_file, capsys,
     assert main(["factorize", str(integral_file), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err) == {"error": "invalid-input",
+    assert strict_json(captured.err) == {"error": "invalid-input",
                                         "message": message}
 
 
@@ -279,7 +310,7 @@ def _decomposition_dict(tmp_path, integral_file, capsys):
     df_path = tmp_path / "df.json"
     assert main(["factorize", str(integral_file), "-o", str(df_path)]) == 0
     capsys.readouterr()
-    return json.loads(df_path.read_text())
+    return strict_json(df_path.read_text())
 
 
 @pytest.mark.parametrize("corrupt, category", [
@@ -303,7 +334,7 @@ def test_bad_decomposition_reports_category(tmp_path, integral_file, capsys,
     assert main(["estimate-logical", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == category
+    assert strict_json(captured.err)["error"] == category
 
 
 def test_estimate_physical_golden_stdout(capsys):
@@ -342,13 +373,13 @@ def _sha256(text: str) -> str:
 # and physical JSON sha256, then the factorize stderr.
 CHAIN_GOLDENS = [
     (SyntheticSpec(n_orb=8, rank=16, seed=1), ["--eps", "1e-3"],
-     "ae1cc1a4b869f8cb4856a309f303b2d784cd531394957123a7c3288a1a90b0cd",
+     "60a917b2e01eaee845e04289ee679575930d6eb4c17b4db16f83416f5002f3b4",
      "bcbc6edd459f3cbb53ed43165a3ee3b56b1ffd3c6e28dbc559aa6a7b10b7f2a2",
      "a799dd5adb23081073d61f23ddcb7fd7add068afe7e161ca48b07f0cdecc6eb4",
      "# leaves=16 total_eigs=128 lambda_T=12.262109879505303 "
      "lambda_V=34.53928092326822 lambda=46.801390802773525\n"),
     (SyntheticSpec(n_orb=6, rank=21, seed=2), [],
-     "528eb1fd8e193a834ef95f6ff4e3fd8b046fea97b60ff5f7039ab67a4d627e06",
+     "8fb1f939fa163bf779b52f0dcf83ed12d8da46cf8e7dc16e07717ce145aa655d",
      "29c1af1a285b169a30467185677951dbfe84862a4e8ad38692f270010e1ea679",
      "4535d6986e94a7abe18ed54c48683fb7fa3ba4482bbe2a6dbe3fc8f71751fbca",
      "# leaves=21 total_eigs=126 lambda_T=9.469704729458723 "
@@ -357,7 +388,8 @@ CHAIN_GOLDENS = [
 
 
 @pytest.mark.parametrize("spec, flags, df_sha, logical_sha, physical_sha, "
-                         "stderr", CHAIN_GOLDENS)
+                         "stderr", CHAIN_GOLDENS,
+                         ids=["eps-1e-3", "full-rank"])
 def test_chain_golden_bytes(tmp_path, capsys, spec, flags, df_sha,
                             logical_sha, physical_sha, stderr):
     ints = tmp_path / "mol.ints"
@@ -386,6 +418,11 @@ def test_parse_xyz_json_golden_bytes(capsys):
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
            "qpe_steps": 10**6, "lambda": 5.0}
 LEDGER = {"monomers": {"A": -1.0, "B": -2.0}}
+SMALL_DF = factorize(gen_synthetic(SyntheticSpec(n_orb=2, rank=3, seed=1)),
+                     0.0, 0.0).dumps()
+LOGICAL_DF = ["--config", "{}", "estimate-logical", "{df}"]
+PHYSICAL_X = ["--config", "{}", "estimate-physical", "--qubits", "100",
+              "--tcount", "1000000", "--preset", "x"]
 
 
 @pytest.mark.parametrize("name, text, argv, category", [
@@ -443,15 +480,38 @@ LEDGER = {"monomers": {"A": -1.0, "B": -2.0}}
      ["fmo-assemble", "{}"], "invalid-input"),
     ("ledger", json.dumps(dict(LEDGER, bogus=[])), ["fmo-assemble", "{}"],
      "parse"),
+    # cost parameters whose arithmetic leaves the float range
+    ("config", json.dumps({"qubit_presets": {"x": {"t_gate": 1e300}}}),
+     PHYSICAL_X, "invalid-input"),
+    ("config", json.dumps({"qubit_presets": {"x": {"t_gate": float("inf")}}}),
+     PHYSICAL_X, "invalid-input"),
+    ("config", json.dumps({"qubit_presets": {"x": {"t_meas": 1e299}}}),
+     ["--config", "{}", "reproduce-table", "--preset", "x"], "invalid-input"),
+    ("config", json.dumps({"estimation": {
+        "rotation_cost_coefficient": float("inf")}}), LOGICAL_DF,
+     "invalid-input"),
+    ("config", json.dumps({"estimation": {"rotation_cost_coefficient": 1e308}}),
+     LOGICAL_DF, "invalid-input"),
+    ("config", "{}", [*LOGICAL_DF, "--eps", "1e-320"], "invalid-input"),
+    ("config", "{}", [*LOGICAL_DF, "--budget", "1e-320"], "invalid-input"),
+    ("config", json.dumps({"estimation": {"eps_total_energy": float("inf")}}),
+     LOGICAL_DF, "invalid-input"),
+    # a runtime, then a factory duration, past the float range
+    ("config", json.dumps({"qubit_presets": {"x": {"t_gate": 1e285}}}),
+     ["--config", "{}", "estimate-physical", "--qubits", "100", "--tcount",
+      "1e25", "--preset", "x"], "invalid-input"),
+    ("config", json.dumps({"qubit_presets": {"x": {"t_gate": 1e292}}}),
+     PHYSICAL_X, "invalid-input"),
 ])
 def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
                                          category):
-    path = tmp_path / f"{name}.json"
+    path, df_path = tmp_path / f"{name}.json", tmp_path / "df.json"
     path.write_text(text)
-    assert main([arg.format(path) for arg in argv]) == 1
+    df_path.write_text(SMALL_DF)
+    assert main([arg.format(path, df=df_path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = strict_json(captured.err)
     assert err["error"] == category
     # no document knows a key "bogus"; where one holds it, the message names it
     assert ("'bogus'" in err["message"]) == ('"bogus"' in text)
@@ -469,7 +529,7 @@ def test_non_utf8_file_reports_parse(tmp_path, capsys, argv):
     assert main([arg.format(path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = strict_json(captured.err)
     assert err["error"] == "parse"
     assert str(path) in err["message"]
 
@@ -499,7 +559,7 @@ def test_t_count_past_float_range_reports_saturation(tmp_path, capsys, argv):
     assert main([str(path) if arg == "TABLE" else arg for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "distance-saturation"
+    assert strict_json(captured.err)["error"] == "distance-saturation"
 
 
 @pytest.mark.parametrize("text, command", [
@@ -514,7 +574,7 @@ def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     assert main([command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = strict_json(captured.err)
     assert err["error"] == "parse" and str(path) in err["message"]
 
 
@@ -538,7 +598,7 @@ def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
     assert main([command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = json.loads(captured.err)
+    err = strict_json(captured.err)
     assert err["error"] == "invalid-input"
     if command == "reproduce-table":
         assert f"{path} row 1:" in err["message"]
@@ -557,6 +617,6 @@ def test_oversized_norb_reports_resource_limit(tmp_path, norb):
                            str(path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    err = json.loads(proc.stderr)
+    err = strict_json(proc.stderr)
     assert err["error"] == "resource-limit"
     assert f"needs {8 * norb**4} bytes" in err["message"]
