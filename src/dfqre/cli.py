@@ -33,6 +33,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -160,6 +161,10 @@ def _cmd_parse_xyz(args):
 
 def _cmd_factorize(args):
     integrals = ingest.parse_integrals(codec.read_text(args.integrals))
+    for flag, value in [("--eps", args.eps), ("--tol-first", args.tol_first),
+                        ("--tol-second", args.tol_second)]:
+        if value is not None and math.isinf(value):  # not a JSON number
+            raise ValidationError(f"{flag} must be finite")
     if args.eps is not None and (args.tol_first is not None
                                  or args.tol_second is not None):
         raise ValidationError("--eps excludes --tol-first/--tol-second")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class DFLeaf:
         vecs = np.asarray(self.vecs, dtype=float)
         object.__setattr__(self, "eigvals", eigvals)
         object.__setattr__(self, "vecs", vecs)
+        if not (math.isfinite(self.weight) and np.isfinite(eigvals).all()
+                and np.isfinite(vecs).all()):
+            raise ValidationError(f"leaf {self.index} holds a non-finite value")
         if vecs.shape[0] != eigvals.shape[0]:
             raise ValidationError("leaf eigval/vector count mismatch")
         gram = vecs @ vecs.T
@@ -86,15 +89,25 @@ class DFDecomposition:
     def __post_init__(self):
         h_bar = np.asarray(self.h_bar, dtype=float)
         object.__setattr__(self, "h_bar", h_bar)
-        object.__setattr__(self, "leaves", tuple(self.leaves))
         if h_bar.shape != (self.n_orb, self.n_orb):
             raise ValidationError("h_bar shape mismatch")
+        # a leaf with no eigenpairs reads back from JSON as vecs of shape (0,)
+        object.__setattr__(self, "leaves", tuple(
+            leaf if leaf.n_eigs else replace(
+                leaf, vecs=leaf.vecs.reshape(0, self.n_orb))
+            for leaf in self.leaves))
+        if not (np.isfinite(h_bar).all() and math.isfinite(self.core_energy)):
+            raise ValidationError("h_bar and core_energy must be finite")
+        if not (self.tol_first >= 0 and self.tol_second >= 0
+                and self.truncation_bound >= 0):  # nan fails too
+            raise ValidationError(
+                "tolerances and truncation_bound must be non-negative")
         if np.abs(h_bar - h_bar.T).max(initial=0.0) > 1e-12:
             raise ValidationError("h_bar is not symmetric within 1e-12")
         if len(self.leaves) > self.n_orb * (self.n_orb + 1) // 2:
             raise ValidationError("more leaves than pair-matrix dimension")
         for leaf in self.leaves:
-            if leaf.n_eigs and leaf.vecs.shape[1:] != (self.n_orb,):
+            if leaf.vecs.shape[1:] != (self.n_orb,):
                 raise ValidationError(
                     f"leaf {leaf.index} vectors have shape {leaf.vecs.shape}, "
                     f"not ({leaf.n_eigs}, {self.n_orb})")

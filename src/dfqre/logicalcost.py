@@ -11,6 +11,7 @@ than matching any particular tool's internals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import codec
@@ -89,9 +90,12 @@ def qpe_steps(lam: float, eps_phase: float) -> int:
     """
     if not eps_phase > 0:
         raise ValidationError("eps_phase must be positive")
-    if lam < 0:
+    if not lam >= 0:  # nan fails too
         raise ValidationError("lam must be non-negative")
-    return math.ceil(math.pi * lam / (2.0 * eps_phase))
+    steps = math.pi * lam / (2.0 * eps_phase)
+    if not math.isfinite(steps):
+        raise ValidationError(f"no finite step count at eps_phase {eps_phase:g}")
+    return math.ceil(steps)
 
 
 def walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
@@ -113,12 +117,16 @@ def walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
     # one extra "leaf" accounts for the hbar basis change
     rotations_per_step = ROTATIONS_PER_LEAF_FACTOR * n * (n_leaves + 1)
     total_rotations = total_steps * rotations_per_step
+    if total_rotations > sys.float_info.max:  # its float() would overflow
+        raise ValidationError("rotation count past the float range")
     eps_rotation = config.budget_split.rotations / total_rotations
     # guard the last-ulp so total_rotations * eps_rotation <= share exactly
     while eps_rotation * total_rotations > config.budget_split.rotations:
         eps_rotation = math.nextafter(eps_rotation, 0.0)
-    t_per_rotation = math.ceil(
-        config.rotation_cost_coefficient * math.log2(1.0 / eps_rotation))
+    bits = math.log2(1.0 / eps_rotation) if eps_rotation > 0 else math.inf
+    if not math.isfinite(config.rotation_cost_coefficient * bits):
+        raise ValidationError(f"rotation cost not finite at {eps_rotation:g}")
+    t_per_rotation = math.ceil(config.rotation_cost_coefficient * bits)
 
     t_lookup = T_PER_LOOKUP_ENTRY * (n_leaves + total_eigs + 1)
     t_rotations = rotations_per_step * t_per_rotation
@@ -178,11 +186,8 @@ def estimate_logical(df: DFDecomposition,
     """
     config = config or EstimationConfig()
     _, _, lam = lambda_norms(df)
-    try:  # a tolerance that underflows to 0 or a count past the float range
-        steps = qpe_steps(lam, config.eps_total_energy / 2.0)
-        cost = walk_step_cost(df.dims(), config, total_steps=max(steps, 1))
-    except (OverflowError, ZeroDivisionError):
-        raise ValidationError(f"no finite T count for {config}") from None
+    steps = qpe_steps(lam, config.eps_total_energy / 2.0)
+    cost = walk_step_cost(df.dims(), config, total_steps=max(steps, 1))
     t_count = steps * cost.t_per_step
     phase_bits = math.ceil(math.log2(steps)) if steps > 0 else 0
     n_logical = 2 * df.n_orb + phase_bits + cost.ancilla_qubits

@@ -208,14 +208,12 @@ def design_factories(qp: QubitParams, per_t_error_budget: float,
                          output_error=chain[rounds])
 
 
-def count_factories(t_count: int, cycles: int, d: int, qp: QubitParams,
-                    fd: FactoryDesign) -> int:
-    """Parallel factories sustaining one T state per consuming cycle:
-    ceil(t_count * duration / (cycles * t_cycle(d)))."""
-    if t_count < 1 or cycles < 1 or d < 1:
-        raise ValidationError("t_count, cycles and d must be positive")
-    cycle_fs = d * qp.syndrome_round_fs
-    return -(-(t_count * fd.duration_fs) // (cycles * cycle_fs))
+def count_factories(d: int, qp: QubitParams, fd: FactoryDesign) -> int:
+    """Parallel factories sustaining one T state per logical cycle:
+    ceil(duration / t_cycle(d))."""
+    if d < 1:
+        raise ValidationError("d must be positive")
+    return -(-fd.duration_fs // (d * qp.syndrome_round_fs))
 
 
 @dataclass(frozen=True)
@@ -261,39 +259,20 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
             n_physical_qubits=tiles * 2 * code.d_min**2,
             runtime_s=0.0, cycles=0)
 
-    cycles = t_count
-    d = select_distance(n_alg_qubits, cycles, qp, code,
+    d = select_distance(n_alg_qubits, t_count, qp, code,
                         eps_logical=config.budget_split.logical)
     fd = design_factories(qp, config.budget_split.t_states / t_count, code)
-    n_factories = count_factories(t_count, cycles, d, qp, fd)
+    n_factories = count_factories(d, qp, fd)
     factory_total = n_factories * fd.qubits_per_factory
     n_physical = tiles * 2 * d * d + factory_total
-    runtime = cycles * (qp.syndrome_round_time * d)
+    runtime = t_count * (qp.syndrome_round_time * d)
     if not math.isfinite(runtime) or fd.duration_fs > sys.float_info.max:
         raise ValidationError(
             "runtime or factory duration past the float range")
-    failure = tiles * cycles * logical_error_rate(d, qp.p_gate, code)
+    failure = tiles * t_count * logical_error_rate(d, qp.p_gate, code)
     return PhysicalEstimate(distance=d, tiles=tiles, n_factories=n_factories,
                             factory_qubits_total=factory_total,
                             n_physical_qubits=n_physical, runtime_s=runtime,
-                            cycles=cycles, factory=fd,
+                            cycles=t_count, factory=fd,
                             logical_failure=failure)
 
-
-def budget_audit(est: PhysicalEstimate, t_count: int,
-                 config: EstimationConfig | None = None) -> dict:
-    """Post-hoc soundness check of the error accounting."""
-    config = config or EstimationConfig()
-    audit = {
-        "logical_failure": est.logical_failure,
-        "logical_share": config.budget_split.logical,
-        "logical_ok": est.logical_failure <= config.budget_split.logical,
-    }
-    if est.factory is not None and t_count > 0:
-        per_t_budget = config.budget_split.t_states / t_count
-        audit.update({
-            "t_state_error": est.factory.output_error,
-            "per_t_budget": per_t_budget,
-            "t_states_ok": est.factory.output_error <= per_t_budget,
-        })
-    return audit

@@ -114,33 +114,16 @@ class RowComparison:
 class TableComparison:
     rows: tuple[RowComparison, ...]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def distance_matches(self) -> int:
-        return sum(r.distance_match for r in self.rows)
-
-    @property
-    def physical_passes(self) -> int:
-        return sum(r.physical_ok for r in self.rows if r.distance_match)
-
-    @property
-    def runtime_passes(self) -> int:
-        return sum(r.runtime_ok for r in self.rows)
-
-    @property
-    def factory_passes(self) -> int:
-        return sum(r.factories_ok for r in self.rows)
-
     def summary(self) -> dict:
+        """Rows within each tolerance; qubits only where the distance matches."""
+        rows = self.rows
         return {
-            "rows": self.n_rows,
-            "distance_exact": self.distance_matches,
-            "physical_within_2pct": self.physical_passes,
-            "runtime_within_10pct": self.runtime_passes,
-            "factories_within_2": self.factory_passes,
+            "rows": len(rows),
+            "distance_exact": sum(r.distance_match for r in rows),
+            "physical_within_2pct": sum(r.physical_ok for r in rows
+                                        if r.distance_match),
+            "runtime_within_10pct": sum(r.runtime_ok for r in rows),
+            "factories_within_2": sum(r.factories_ok for r in rows),
         }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,6 +297,10 @@ def test_factorize_eps_runs_one_pair_eigendecomposition(
      "--eps excludes --tol-first/--tol-second"),
     (["--eps=1e-3", "--tol-second=1e-4"],
      "--eps excludes --tol-first/--tol-second"),
+    # an infinite tolerance would be written as Infinity, which is not JSON
+    (["--eps=inf"], "--eps must be finite"),
+    (["--tol-first=inf"], "--tol-first must be finite"),
+    (["--tol-second=inf"], "--tol-second must be finite"),
 ])
 def test_factorize_bad_eps_reports_invalid_input(integral_file, capsys,
                                                  flags, message):
@@ -420,6 +425,18 @@ LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
 LEDGER = {"monomers": {"A": -1.0, "B": -2.0}}
 SMALL_DF = factorize(gen_synthetic(SyntheticSpec(n_orb=2, rank=3, seed=1)),
                      0.0, 0.0).dumps()
+
+
+def _small_df(*path, value):
+    """SMALL_DF with the item at ``path`` (keys and list indices) replaced."""
+    data = json.loads(SMALL_DF)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(data)
+
+
 LOGICAL_DF = ["--config", "{}", "estimate-logical", "{df}"]
 PHYSICAL_X = ["--config", "{}", "estimate-physical", "--qubits", "100",
               "--tcount", "1000000", "--preset", "x"]
@@ -502,6 +519,21 @@ PHYSICAL_X = ["--config", "{}", "estimate-physical", "--qubits", "100",
       "1e25", "--preset", "x"], "invalid-input"),
     ("config", json.dumps({"qubit_presets": {"x": {"t_gate": 1e292}}}),
      PHYSICAL_X, "invalid-input"),
+    # non-finite decomposition values, and tolerances below 0 or NaN
+    ("decomposition", _small_df("leaves", 0, "eigvals", 0, value=math.nan),
+     ["estimate-logical", "{}"], "invalid-input"),
+    ("decomposition", _small_df("leaves", 0, "weight", value=math.nan),
+     ["estimate-logical", "{}"], "invalid-input"),
+    ("decomposition", _small_df("leaves", 0, "vecs", 0, 0, value=math.nan),
+     ["estimate-logical", "{}"], "invalid-input"),
+    ("decomposition", _small_df("h_bar", 0, 0, value=math.nan),
+     ["estimate-logical", "{}"], "invalid-input"),
+    ("decomposition", _small_df("core_energy", value=-math.inf),
+     ["estimate-logical", "{}"], "invalid-input"),
+    ("decomposition", _small_df("tol_first", value=-1e-3),
+     ["estimate-logical", "{}"], "invalid-input"),
+    ("decomposition", _small_df("truncation_bound", value=math.nan),
+     ["estimate-logical", "{}"], "invalid-input"),
 ])
 def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
                                          category):

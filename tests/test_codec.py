@@ -1,7 +1,8 @@
 """Properties of the JSON codec: the one-line decomposition survives a round
-trip byte for byte, an indented one loads to the same arrays, and a value
-of the wrong JSON type in any field of a logical estimate or a config
-section exits 1 with its documented category."""
+trip byte for byte, it and an indented one load to the factorized arrays,
+shapes included, and a value of the wrong JSON type in any field of a
+logical estimate or a config section exits 1 with its documented
+category."""
 
 import json
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from dfqre import codec
 from dfqre.cli import main
-from dfqre.dfact import DFDecomposition, factorize
+from dfqre.dfact import DFDecomposition, factorize, reconstruct
 from dfqre.errors import ParseError
 from dfqre.ingest import SyntheticSpec, gen_synthetic
 from dfqre.physcost import QubitParams
@@ -140,8 +141,10 @@ def test_decomposition_round_trip(n_orb, data):
     # the indented layout earlier versions wrote loads to the same arrays
     old = DFDecomposition.loads(json.dumps(codec.encode(df), indent=1))
     assert old.dumps() == text
-    pairs = [(old.h_bar, new.h_bar)]
-    for x, y in zip(old.leaves, new.leaves, strict=True):
-        pairs += [(x.eigvals, y.eigvals), (x.vecs, y.vecs)]
-    for got, want in pairs:
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for loaded in (new, old):  # a leaf with no eigenpairs keeps its width
+        pairs = [(loaded.h_bar, df.h_bar)]
+        for x, y in zip(loaded.leaves, df.leaves, strict=True):
+            pairs += [(x.eigvals, y.eigvals), (x.vecs, y.vecs)]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert reconstruct(new).tobytes() == reconstruct(df).tobytes()

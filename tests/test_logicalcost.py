@@ -48,9 +48,12 @@ class TestQpeSteps:
             big = qpe_steps(2 * lam, 1e-3)
             assert abs(big - 2 * small) <= 1
 
-    def test_rejects_nonpositive_eps(self):
+    # an eps_phase of 0, a step count past the float range, a NaN norm
+    @pytest.mark.parametrize("lam, eps_phase", [(1.0, 0.0), (1.0, 1e-320),
+                                                (math.nan, 1e-3)])
+    def test_rejects_out_of_range(self, lam, eps_phase):
         with pytest.raises(ValidationError):
-            qpe_steps(1.0, 0.0)
+            qpe_steps(lam, eps_phase)
 
 
 class TestWalkStepCost:
@@ -60,10 +63,18 @@ class TestWalkStepCost:
         assert cost.rotations_per_step == 8  # hbar basis change remains
         assert cost.ancilla_qubits >= math.ceil(math.log2(4))
 
-    @pytest.mark.parametrize("dims", [(0, 0, 0), (4, -1, 0), (4, 2, -1)])
-    def test_rejects_inconsistent_dims(self, dims):
+    # bad dimensions, then a rotation tolerance of 0, an infinite rotation
+    # cost and a rotation count past the float range
+    @pytest.mark.parametrize("dims, config, steps", [
+        ((0, 0, 0), {}, 100), ((4, -1, 0), {}, 100), ((4, 2, -1), {}, 100),
+        ((4, 2, 8), {"budget_split": BudgetSplit(0.005, 0.005, 0.0)}, 100),
+        ((4, 2, 8), {"rotation_cost_coefficient": math.inf}, 100),
+        ((4, 2, 8), {}, 10**307),
+    ], ids=["no-orbital", "negative-leaves", "negative-eigs", "no-share",
+            "infinite-coefficient", "steps-1e307"])
+    def test_rejects_out_of_range(self, dims, config, steps):
         with pytest.raises(ValidationError):
-            walk_step_cost(dims, EstimationConfig(), 100)
+            walk_step_cost(dims, EstimationConfig(**config), steps)
 
     def test_doubling_leaves_increases_cost(self):
         config = EstimationConfig()

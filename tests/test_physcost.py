@@ -3,9 +3,9 @@ import pytest
 from dfqre.errors import (DistanceSaturationError, FactoryBudgetError,
                           ValidationError)
 from dfqre.logicalcost import EstimationConfig
-from dfqre.physcost import (CodeParams, budget_audit, count_factories,
-                            design_factories, estimate_physical, get_preset,
-                            layout_tiles, logical_error_rate, select_distance)
+from dfqre.physcost import (CodeParams, count_factories, design_factories,
+                            estimate_physical, get_preset, layout_tiles,
+                            logical_error_rate, select_distance)
 
 QP = get_preset("qubit_gate_ns_e4")
 EPS_LOGICAL = 0.01 / 3
@@ -131,11 +131,10 @@ class TestDesignFactories:
 class TestCountFactories:
     def test_fragment8_fifteen(self):
         design = design_factories(QP, EPS_LOGICAL / 4.00e10)
-        t_count = int(4.00e10)
         # output period spans 14.4 cycles at distance 15
         ratio = design.duration_fs * 1e-15 / (QP.syndrome_round_time * 15)
         assert ratio == pytest.approx(14.4, rel=1e-9)
-        assert count_factories(t_count, t_count, 15, QP, design) == 15
+        assert count_factories(15, QP, design) == 15
 
     def test_short_duration_single_factory(self):
         design = design_factories(QP, 1e-10)
@@ -143,14 +142,14 @@ class TestCountFactories:
                             stage_distances=design.stage_distances,
                             qubits_per_factory=design.qubits_per_factory,
                             duration_fs=10**6, output_error=design.output_error)
-        assert count_factories(10**9, 10**9, 15, QP, tiny) == 1
+        assert count_factories(15, QP, tiny) == 1
 
     def test_exact_integer_boundary(self):
         # 14.4 * 15 / 27 == 8 exactly; ceiling must not round it to 9
         design = design_factories(QP, 1e-15)
         assert design.stage_distances[-1] == 15
-        assert count_factories(10**6, 10**6, 27, QP, design) == 8
-        assert count_factories(10**6, 10**6, 15, QP, design) == 15
+        assert count_factories(27, QP, design) == 8
+        assert count_factories(15, QP, design) == 15
 
 
 class TestEstimatePhysical:
@@ -195,8 +194,8 @@ class TestEstimatePhysical:
         config = EstimationConfig()
         for n, t in [(661, int(4e10)), (4728, int(1.17e14)), (100, 10**6)]:
             est = estimate_physical(n, t, config=config)
-            audit = budget_audit(est, t, config)
-            assert audit["logical_ok"] and audit["t_states_ok"]
+            assert est.logical_failure <= config.budget_split.logical
+            assert est.factory.output_error <= config.budget_split.t_states / t
 
     def test_runtime_is_cycles_times_cycle_time(self):
         # one logical cycle is d syndrome rounds

@@ -108,7 +108,7 @@ class TestFitScaling:
 class TestReproduceTable:
     def test_empty_rows(self):
         comparison = reproduce_table([])
-        assert comparison.n_rows == 0
+        assert len(comparison.rows) == 0
         assert comparison.summary()["distance_exact"] == 0
 
     def test_fragment8_row(self, reference_rows):
