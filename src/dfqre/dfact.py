@@ -126,8 +126,16 @@ class DFDecomposition:
 
     def dumps(self) -> str:
         # one line: json indents only in its pure-Python encoder, and this
-        # document holds every leaf vector
-        return json.dumps(codec.encode(self))
+        # document holds every leaf vector. JSON has no infinity, and only
+        # the scalars checked for sign alone can hold one.
+        try:
+            return json.dumps(codec.encode(self), allow_nan=False)
+        except ValueError:
+            names = [name for name in ("tol_first", "tol_second",
+                                       "truncation_bound")
+                     if not math.isfinite(getattr(self, name))]
+            raise ValidationError(
+                f"{', '.join(names)} not finite; JSON cannot hold it") from None
 
     @classmethod
     def loads(cls, text: str) -> "DFDecomposition":

@@ -6,11 +6,14 @@ T state, so the cycle count equals the T count. Constants here (error
 prefactor, tile layout, factory footprint and period) were calibrated
 once against published fragment estimates for the superconducting
 "qubit_gate_ns_e4" parameter set and are documented design choices of
-this artifact.
+this artifact. A factory design depends on the qubits, the code and the
+round count alone, so ``design_factories`` keeps one per key in a
+fixed-size cache; a budget sweep builds each design once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -119,11 +122,16 @@ def _min_distance(scale: float, limit: float, qp: QubitParams,
                   code: CodeParams) -> int | None:
     """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit;
     None for an int scale past the float range, whose product with any
-    normal float p_L(d) exceeds 1 (and whose conversion would overflow)."""
+    normal float p_L(d) exceeds 1 (and whose conversion would overflow).
+    p_L(d) is ``logical_error_rate``'s expression, bit for bit."""
     if scale > sys.float_info.max:
         return None
-    for d in range(code.d_min, MAX_DISTANCE + 1, 2):
-        if scale * logical_error_rate(d, qp.p_gate, code) <= limit:
+    distances = range(code.d_min, MAX_DISTANCE + 1, 2)
+    if distances:  # logical_error_rate's d and p checks, once for all d
+        logical_error_rate(code.d_min, qp.p_gate, code)
+    ratio = qp.p_gate / code.p_threshold
+    for d in distances:
+        if scale * (code.a_coeff * ratio ** ((d + 1) / 2)) <= limit:
             return d
     return None
 
@@ -179,21 +187,40 @@ def design_factories(qp: QubitParams, per_t_error_budget: float,
     so residual Clifford error stays below half of each stage's input
     error, which fixes the footprint independently of how far below
     35 p^3 chains the budget sits.
+
+    The budget check and the round choice run on every call; the design
+    for the chosen rounds depends only on (qp, code, rounds) and comes
+    from a fixed-size cache. Errors are raised on every call, never cached.
     """
     code = code or CodeParams()
     if not 0 < per_t_error_budget < 1:
         raise ValidationError("per-T error budget must lie in (0, 1)")
-
-    chain = [qp.p_gate]
-    for _ in range(MAX_DISTILL_ROUNDS):
-        chain.append(DISTILL_REDUCTION * chain[-1] ** 3)
+    chain = _distillation_chain(qp.p_gate)
     rounds = next((k for k in range(1, MAX_DISTILL_ROUNDS + 1)
                    if chain[k] <= per_t_error_budget), None)
     if rounds is None:
         raise FactoryBudgetError(
             f"budget {per_t_error_budget:g} unreachable in "
             f"{MAX_DISTILL_ROUNDS} rounds of 15-to-1 distillation")
+    # -0.0 and 0.0 are one key, but the sign of a zero p_gate reaches
+    # output_error; a zero-noise design is cheap, so it skips the cache
+    design = _design if qp.p_gate else _design.__wrapped__
+    return design(qp, code, rounds)
 
+
+def _distillation_chain(p: float) -> list[float]:
+    """[p, 35 p^3, 35 (35 p^3)^3, ...]: the error after 0..3 rounds."""
+    chain = [p]
+    for _ in range(MAX_DISTILL_ROUNDS):
+        chain.append(DISTILL_REDUCTION * chain[-1] ** 3)
+    return chain
+
+
+@functools.lru_cache(maxsize=256)
+def _design(qp: QubitParams, code: CodeParams, rounds: int) -> FactoryDesign:
+    """The ``rounds``-round design; ``FactoryDesign`` is frozen, so one
+    instance serves every call with the same key."""
+    chain = _distillation_chain(qp.p_gate)
     distances = tuple(_min_distance(FACTORY_CLIFFORD_LOCATIONS, chain[k] / 2.0,
                                     qp, code) for k in range(rounds))
     if None in distances:

@@ -271,6 +271,13 @@ class TestChooseTolerances:
         df = factorize(ints, eps_target=float("inf"))
         assert (df.tol_first, df.tol_second) == tols
 
+    def test_infinite_target_not_written_as_json(self):
+        # json would write the bare token Infinity, which is not JSON
+        ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=3, seed=1))
+        df = factorize(ints, eps_target=float("inf"))
+        with pytest.raises(ValidationError, match="tol_first, tol_second"):
+            df.dumps()
+
     def test_monotone_in_eps(self):
         weights = stage1_weights(make_set(4, 8, seed=14))
         eps_values = [1e-2, 5e-3, 2.5e-3, 1.25e-3]

@@ -1,11 +1,15 @@
+import math
+
+import numpy as np
 import pytest
 
+from dfqre import pipeline
 from dfqre.errors import (DistanceSaturationError, FactoryBudgetError,
                           ValidationError)
 from dfqre.logicalcost import EstimationConfig
-from dfqre.physcost import (CodeParams, count_factories, design_factories,
-                            estimate_physical, get_preset, layout_tiles,
-                            logical_error_rate, select_distance)
+from dfqre.physcost import (CodeParams, QubitParams, count_factories,
+                            design_factories, estimate_physical, get_preset,
+                            layout_tiles, logical_error_rate, select_distance)
 
 QP = get_preset("qubit_gate_ns_e4")
 EPS_LOGICAL = 0.01 / 3
@@ -93,6 +97,18 @@ class TestSelectDistance:
             with pytest.raises(DistanceSaturationError):
                 select_distance(10, 10**308, qp, eps_logical=0.5)
 
+    def test_rejects_p_gate_at_threshold(self):
+        noisy = QubitParams("noisy", 50e-9, 100e-9, 0.02, 0.02)
+        with pytest.raises(ValidationError, match="at or above threshold"):
+            select_distance(10, 10**6, noisy, eps_logical=0.5)
+
+    def test_empty_search_saturates_unchecked(self):
+        # no odd distance in [101, 99]: nothing is tried, so nothing checks p
+        noisy = QubitParams("noisy", 50e-9, 100e-9, 0.02, 0.02)
+        with pytest.raises(DistanceSaturationError):
+            select_distance(10, 10**6, noisy, CodeParams(d_min=101),
+                            eps_logical=0.5)
+
 
 class TestDesignFactories:
     def test_fragment8_scale_two_rounds(self):
@@ -121,6 +137,32 @@ class TestDesignFactories:
     def test_unreachable_budget(self):
         with pytest.raises(FactoryBudgetError):
             design_factories(QP, 1e-95)
+
+    def test_no_stage_distance_suppresses_clifford_error(self):
+        # one round reaches 1e-4, but no d <= 99 sizes its stage; twice, so
+        # the design cache neither swallows nor stores the error
+        near = QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3)
+        for _ in range(2):
+            with pytest.raises(FactoryBudgetError,
+                               match="no stage distance suppresses"):
+                design_factories(near, 1e-4)
+
+    def test_unreachable_budget_raised_first(self):
+        near = QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3)
+        with pytest.raises(FactoryBudgetError, match="unreachable"):
+            design_factories(near, 1e-95)
+
+    def test_design_shared_across_budgets(self):
+        # same rounds, same (qp, code): one cached design
+        assert design_factories(QP, 1e-10) is design_factories(QP, 2e-10)
+        assert design_factories(QP, 1e-10) is not design_factories(QP, 1e-15)
+
+    def test_zero_p_gate_keeps_its_sign(self):
+        # 0.0 and -0.0 are equal keys, but 35 p^3 keeps the sign of p
+        for p in (0.0, -0.0, 0.0):
+            design = design_factories(QubitParams("noiseless", p_gate=p), 1e-4)
+            assert math.copysign(1.0, design.output_error) == \
+                math.copysign(1.0, p)
 
     def test_stage_distances_grow_with_round(self):
         design = design_factories(QP, 1e-15)
@@ -202,3 +244,44 @@ class TestEstimatePhysical:
         est = estimate_physical(661, int(4e10))
         assert est.runtime_s == pytest.approx(
             est.cycles * (QP.syndrome_round_time * est.distance), rel=1e-12)
+
+
+# the qubit sets of the table-sweep benchmark workload
+SWEEP_QUBITS = (
+    get_preset("qubit_gate_ns_e4"),
+    QubitParams("qubit_gate_ns_e3", 50e-9, 100e-9, 1e-3, 1e-3),
+    QubitParams("qubit_gate_us_e4", 100e-6, 100e-6, 1e-4, 1e-4),
+    QubitParams("qubit_gate_us_e6", 100e-6, 100e-6, 1e-6, 1e-6),
+)
+
+
+class TestCostChainProperties:
+    """A harder problem never looks cheaper: over the 47 table rows and the
+    sweep qubit sets, distance and physical qubits do not fall as the error
+    budget shrinks or as p_gate rises. (The factory count may fall as the T
+    count rises: ceil(duration(d_last) / (d * round)) drops when d steps up.)
+    """
+
+    @staticmethod
+    def assert_non_decreasing(estimates):
+        costs = [(e.distance, e.n_physical_qubits) for e in estimates]
+        for (d0, n0), (d1, n1) in zip(costs, costs[1:]):
+            assert d0 <= d1 and n0 <= n1
+
+    @pytest.mark.parametrize("qp", SWEEP_QUBITS, ids=lambda qp: qp.name)
+    def test_monotone_as_budget_shrinks(self, qp):
+        configs = [EstimationConfig(error_budget=float(b))
+                   for b in np.logspace(np.log10(0.3), -8, 60)]
+        for row in pipeline.load_reference_table():
+            self.assert_non_decreasing(
+                estimate_physical(row.n_logical, row.t_count, qp, None, c)
+                for c in configs)
+
+    @pytest.mark.parametrize("qp", SWEEP_QUBITS, ids=lambda qp: qp.name)
+    def test_monotone_as_p_gate_rises(self, qp):
+        noisier = [QubitParams(qp.name, qp.t_gate, qp.t_meas, float(p),
+                               qp.p_meas) for p in np.logspace(-6, -3, 40)]
+        for row in pipeline.load_reference_table():
+            self.assert_non_decreasing(
+                estimate_physical(row.n_logical, row.t_count, q)
+                for q in noisier)
