@@ -236,8 +236,9 @@ def parse_integrals(text: str) -> IntegralSet:
     expansion run on whole arrays. A file it refuses, or one that fails a
     check, is read again line by line (contract: module docstring).
     """
-    for sep in _LINE_BREAKS:
-        text = text.replace(sep, "\n")
+    if not text.isascii() or any(sep in text for sep in "\r\v\f\x1c\x1d\x1e"):
+        for sep in _LINE_BREAKS:  # else every break is already "\n"
+            text = text.replace(sep, "\n")
     n_orb, no = _read_header(text)
     need = 8 * n_orb**4  # bytes of the dense float64 h2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -39,6 +39,10 @@ MAX_DISTILL_ROUNDS = 3
 
 @dataclass(frozen=True)
 class QubitParams:
+    """Gate and measurement times in seconds, and error probabilities in
+    [0, 1). A zero probability is stored as 0.0, so -0.0 never reaches an
+    error rate such as a factory's ``output_error``."""
+
     name: str = field(default="qubit_gate_ns_e4", metadata={"json": None})
     t_gate: float = 50e-9
     t_meas: float = 100e-9
@@ -50,9 +54,12 @@ class QubitParams:
                 and math.isfinite(self.syndrome_round_time * 1e15)):
             raise ValidationError("gate and measurement times must be positive"
                                   " and finite in femtoseconds")
-        for p in (self.p_gate, self.p_meas):
+        for name in ("p_gate", "p_meas"):
+            p = getattr(self, name)
             if not 0 <= p < 1:
                 raise ValidationError("error probabilities must lie in [0, 1)")
+            if p == 0:
+                object.__setattr__(self, name, abs(p))
 
     @property
     def syndrome_round_time(self) -> float:
@@ -202,10 +209,7 @@ def design_factories(qp: QubitParams, per_t_error_budget: float,
         raise FactoryBudgetError(
             f"budget {per_t_error_budget:g} unreachable in "
             f"{MAX_DISTILL_ROUNDS} rounds of 15-to-1 distillation")
-    # -0.0 and 0.0 are one key, but the sign of a zero p_gate reaches
-    # output_error; a zero-noise design is cheap, so it skips the cache
-    design = _design if qp.p_gate else _design.__wrapped__
-    return design(qp, code, rounds)
+    return _design(qp, code, rounds)
 
 
 def _distillation_chain(p: float) -> list[float]:

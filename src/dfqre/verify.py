@@ -8,15 +8,18 @@ assemblers (raw integrals, decomposition), and so the equivalence check,
 raise ``ResourceLimitError`` above ``FOCK_MAX_ORBITALS`` orbitals; phase
 estimation stops at ``QPE_MAX_DIM``. Both assemblers apply ladder
 operators to occupation bit strings with the signs of one Jordan-Wigner
-table, and form no sparse operator. The equivalence check takes its
-spectral norm one (N_up, N_down) sector block at a time. These routines
+table, and form no sparse operator: each ladder-operator pair is
+tabulated once over whole arrays of states, and each chunk of terms is
+added with one ordered ``np.add.at``, in the order of the written sum.
+The equivalence check takes its spectral norm one (N_up, N_down) sector
+block at a time. These routines
 certify the factorization and cost-model formulas; they are not
 simulators of the production circuits.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +55,7 @@ class FockMatrix:
         return occupied.sum(axis=0, dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
 def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupancy and Jordan-Wigner sign of spin-orbital p in every state.
 
@@ -61,7 +65,14 @@ def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
     states = np.arange(1 << n_spin_orb, dtype=np.int64)
     bits = (states >> np.arange(n_spin_orb)[:, None]) & 1
     parity_below = np.cumsum(bits, axis=0) - bits
-    return bits == 1, 1.0 - 2.0 * (parity_below % 2)
+    occupied, sign = bits == 1, 1.0 - 2.0 * (parity_below % 2)
+    occupied.flags.writeable = sign.flags.writeable = False  # cached, shared
+    return occupied, sign
+
+
+def _spin_orbitals(n_orb: int) -> np.ndarray:
+    """Spin-orbital of (orbital, spin): orbital + spin * n_orb."""
+    return np.arange(2 * n_orb).reshape(2, n_orb).T
 
 
 def _sectors(n_orb: int) -> list[np.ndarray]:
@@ -71,45 +82,86 @@ def _sectors(n_orb: int) -> list[np.ndarray]:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
-def _ladders(n_orb: int):
-    """Ladder-operator tools on the Fock space of ``n_orb`` orbitals.
-
-    A state is tracked as (source, current, sign); a ladder operator keeps
-    the states where spin-orbital p is occupied (a_p) or empty (a+_p),
-    flips bit p and multiplies in its Jordan-Wigner sign. A string of them
-    sends each source to at most one state, so ``add`` puts its +-coeff
-    entries straight into a dense matrix. ``lowered[p]`` is a_p on every
-    state, ``dense(core)`` core times the identity.
-    """
+def _dense(n_orb: int, core: float = 0.0) -> np.ndarray:
+    """``core`` times the identity on the Fock space of ``n_orb`` orbitals."""
     if n_orb > FOCK_MAX_ORBITALS:
         raise ResourceLimitError(
             f"n_orb={n_orb} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
     dim = 1 << 2 * n_orb
-    occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
+    matrix = np.zeros((dim, dim))
+    matrix.reshape(-1)[::dim + 1] = core
+    return matrix
 
-    def ladder(p, create, src, cur, sign):
-        keep = occupied[p, cur] != create
-        cur = cur[keep]
-        return src[keep], cur ^ (1 << p), sign[keep] * jw_sign[p, cur]
 
-    def add(matrix, coeff, src, dst, sign):
-        matrix.reshape(-1)[dst * dim + src] += coeff * sign
+def _scatter(matrix: np.ndarray, entry, coeff, sign) -> None:
+    """Add coeff * sign to the flat ``entry`` (dst * dim + src) of
+    ``matrix`` wherever sign is nonzero. ``np.add.at`` applies repeated
+    entries one after another in array order, so every entry sums its
+    terms in the order listed."""
+    keep = sign != 0.0
+    np.add.at(matrix.reshape(-1), entry[keep], (coeff * sign)[keep])
 
-    def dense(core=0.0):
-        matrix = np.zeros((dim, dim))
-        matrix.reshape(-1)[::dim + 1] = core
-        return matrix
 
-    def one_body(matrix, mat):
-        """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``."""
-        for (i, j), shift in itertools.product(np.argwhere(mat != 0.0), (0, n_orb)):
-            add(matrix, mat[i, j], *ladder(i + shift, True, *lowered[j + shift]))
-        return matrix
+def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``,
+    ordered by nonzero (i, j), then spin, then source state."""
+    n = len(mat)
+    occupied, jw_sign = _jordan_wigner_tables(2 * n)
+    i, j = np.nonzero(mat != 0.0)
+    created, lowered = (_spin_orbitals(n)[o][..., None] for o in (i, j))
+    # a_{j,sigma} on the states where it is occupied, then a+_{i,sigma}
+    src = np.nonzero(occupied)[1].reshape(2 * n, -1)[lowered[..., 0]]
+    dst = src ^ 1 << lowered
+    sign = jw_sign[lowered, src]
+    sign *= (jw_sign * ~occupied)[created, dst]  # zero where i is occupied
+    dst |= 1 << created
+    dst *= len(matrix)
+    dst += src
+    _scatter(matrix, dst, mat[i, j][:, None, None], sign)
+    return matrix
 
-    states = np.arange(dim, dtype=np.int64)
-    lowered = [ladder(p, False, states, states, np.ones(dim))
-               for p in range(2 * n_orb)]
-    return ladder, lowered, add, one_body, dense
+
+def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
+    """Add 1/2 sum_ijkl h2_ijkl sum_{sigma,rho} a+_{i,sigma} a+_{k,rho}
+    a_{l,rho} a_{j,sigma} to ``matrix``, in that written order.
+
+    Each factor pair is tabulated once, indexed [orbital, orbital, sigma,
+    rho, state]. The right one, a_{l,rho} a_{j,sigma}, is taken on the
+    quarter of the states where both spin-orbitals are occupied, and is
+    empty (sign zero) when they are the same one. The left one,
+    a+_{i,sigma} a+_{k,rho}, is taken on every state, one i slab at a
+    time, with sign zero where a creation fails. Each (i, j) chunk gathers
+    the left slab at the right factors' targets and is added with one
+    ordered scatter, in the order (k, l, sigma, rho, source state).
+    """
+    n = len(h2)
+    occupied, jw_sign = _jordan_wigner_tables(2 * n)
+    dim = occupied.shape[1]
+    a = _spin_orbitals(n)[:, None, :, None, None]  # (i or j, sigma)
+    b = _spin_orbitals(n)[None, :, None, :, None]  # (k or l, rho)
+
+    distinct = (a != b)[..., 0]
+    both = occupied[a[..., 0]] & occupied[b[..., 0]]
+    src = np.zeros(distinct.shape + (dim // 4,), dtype=np.int64)
+    src[distinct] = np.nonzero(both[distinct])[1].reshape(-1, dim // 4)
+    mid = src ^ 1 << a
+    r_tgt = mid ^ 1 << b
+    r_sign = jw_sign[a, src] * jw_sign[b, mid] * distinct[..., None]
+
+    states = np.arange(dim)
+    creation_sign = jw_sign * ~occupied  # a+_p's sign, zero where p is occupied
+    raised = states | 1 << b  # a+_{k,rho} applied
+    raised_sign = creation_sign[b, states]
+    spins = np.arange(4).reshape(2, 2, 1) * dim
+    for i in range(n):
+        l_tgt = (raised | 1 << a[i]).reshape(-1)
+        l_sign = (raised_sign * creation_sign[a[i], raised]).reshape(-1)
+        for j in range(n):
+            coeff = 0.5 * h2[i, j]
+            k, l = np.nonzero(coeff != 0.0)
+            at = (k[:, None, None, None] * 4 * dim + spins) + r_tgt[j, l]
+            _scatter(matrix, l_tgt[at] * dim + src[j, l],
+                     coeff[k, l][:, None, None, None], l_sign[at] * r_sign[j, l])
 
 
 def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
@@ -120,19 +172,8 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
     identity used elsewhere and can certify those identities.
     """
     n = integrals.n_orb
-    ladder, lowered, add, one_body, dense = _ladders(n)
-    matrix = one_body(dense(integrals.core_energy), integrals.h1)
-
-    # right factors a_l a_j reused over (i, k); spin shifts 0 (up) and n (down)
-    right = {(a, b): ladder(a, False, *lowered[b])
-             for a in range(2 * n) for b in range(2 * n)}
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        coeff = 0.5 * integrals.h2[i, j, k, l]
-        if coeff == 0.0:
-            continue
-        for sigma, rho in itertools.product((0, n), repeat=2):
-            term = ladder(k + rho, True, *right[(l + rho, j + sigma)])
-            add(matrix, coeff, *ladder(i + sigma, True, *term))
+    matrix = _one_body(_dense(n, integrals.core_energy), integrals.h1)
+    _two_body(matrix, integrals.h2)
     return FockMatrix(n_orb=n, matrix=matrix)
 
 
@@ -142,12 +183,11 @@ def fock_matrix_of_decomposition(df: DFDecomposition) -> FockMatrix:
     1/2 sum_r c_r O_r^2 over the one-body leaf operators O_r. Each O_r
     conserves both spin counts, so it is squared sector block by block.
     """
-    *_, one_body, dense = _ladders(df.n_orb)
-    matrix = one_body(dense(df.core_energy), df.h_bar)
+    matrix = _one_body(_dense(df.n_orb, df.core_energy), df.h_bar)
     blocks = [np.ix_(s, s) for s in _sectors(df.n_orb)]
-    op = dense()
+    op = _dense(df.n_orb)
     for leaf in df.leaves:
-        one_body(op, leaf.matrix())
+        _one_body(op, leaf.matrix())
         for block in blocks:  # O_r lies in the blocks: clearing them zeroes it
             sub, op[block] = op[block], 0.0
             matrix[block] += 0.5 * leaf.weight * (sub @ sub)

@@ -157,12 +157,16 @@ class TestDesignFactories:
         assert design_factories(QP, 1e-10) is design_factories(QP, 2e-10)
         assert design_factories(QP, 1e-10) is not design_factories(QP, 1e-15)
 
-    def test_zero_p_gate_keeps_its_sign(self):
-        # 0.0 and -0.0 are equal keys, but 35 p^3 keeps the sign of p
-        for p in (0.0, -0.0, 0.0):
-            design = design_factories(QubitParams("noiseless", p_gate=p), 1e-4)
-            assert math.copysign(1.0, design.output_error) == \
-                math.copysign(1.0, p)
+    def test_negative_zero_error_rate_is_zero(self):
+        # -0.0 is stored as 0.0: it shares 0.0's cached design, and no
+        # error rate is written with a negative sign
+        zero, negative = (QubitParams("noiseless", p_gate=p, p_meas=p)
+                          for p in (0.0, -0.0))
+        assert math.copysign(1.0, negative.p_gate) == 1.0
+        assert math.copysign(1.0, negative.p_meas) == 1.0
+        assert design_factories(negative, 1e-4) is design_factories(zero, 1e-4)
+        text = estimate_physical(10, 10**6, negative).dumps()
+        assert '"output_error": 0.0' in text and "-0.0" not in text
 
     def test_stage_distances_grow_with_round(self):
         design = design_factories(QP, 1e-15)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dfqre
+from dfqre import verify
 from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
     qpe_energy_offset
 from dfqre.errors import ResourceLimitError, ValidationError
@@ -106,6 +108,27 @@ def reference_fock_matrix_of_decomposition(df):
         op = one_body(leaf.matrix())
         ham = ham + 0.5 * leaf.weight * (op @ op)
     return ham.toarray()
+
+
+def reference_one_body(matrix, mat):
+    """The per-term bit-string one-body loop the tabulated scatter
+    replaced: a_{j,sigma} then a+_{i,sigma} on every state, one dense
+    update per nonzero mat_ij and spin, in that order."""
+    n, dim = len(mat), len(matrix)
+    states = np.arange(dim)
+    bits = (states >> np.arange(2 * n)[:, None]) & 1
+    jw_sign = 1.0 - 2.0 * ((np.cumsum(bits, axis=0) - bits) % 2)
+
+    def ladder(p, create, src, cur, sign):
+        keep = bits[p, cur] != create
+        cur = cur[keep]
+        return src[keep], cur ^ (1 << p), sign[keep] * jw_sign[p, cur]
+
+    for (i, j), shift in itertools.product(np.argwhere(mat != 0.0), (0, n)):
+        src, dst, sign = ladder(i + shift, True, *ladder(
+            j + shift, False, states, states, np.ones(dim)))
+        matrix.reshape(-1)[dst * dim + src] += mat[i, j] * sign
+    return matrix
 
 
 def reference_df_deviation(integrals, df):
@@ -234,6 +257,20 @@ class TestReferenceAssembler:
                                      (1, 1, 0), (2, 3, 1), (3, 1, 2),
                                      (4, 10, 4), (2, 1, 7), (2, 3, 6),
                                      (2, 0, 5)]]
+        rng = np.random.default_rng(8)
+        # h1 zero, h2 nonzero only in the (1, 2) slab: every other (i, j)
+        # chunk of the two-body scatter is empty
+        one_chunk = np.zeros((3, 3, 3, 3))
+        one_chunk[1, 2] = rng.standard_normal((3, 3))
+        fixtures.append(raw_integrals(3, 0.5, np.zeros((3, 3)), one_chunk))
+        # h2 all +-0.0: no two-body term at all
+        fixtures.append(raw_integrals(
+            3, -1.0, rng.standard_normal((3, 3)),
+            np.where(rng.random((3, 3, 3, 3)) < 0.5, 0.0, -0.0)))
+        # one orbital on a zero core (the hypothesis cases have core != 0)
+        fixtures += [raw_integrals(1, 0.0, np.array([[h1]]),
+                                   np.full((1, 1, 1, 1), h2))
+                     for h1, h2 in [(0.7, 0.9), (-0.0, 0.9), (0.7, -0.0)]]
         for ints in fixtures + criterion_6_integrals():
             assert_same_as_reference(ints)
 
@@ -277,6 +314,19 @@ class TestDfEquivalence:
             assert fock.n_orb == n_orb
             assert (np.abs(fock.matrix - expected).max()
                     <= 1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_matches_per_term_one_body(self, n_orb, monkeypatch):
+        full = n_orb * (n_orb + 1) // 2
+        ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
+                                           seed=60 + n_orb))
+        for tol in (0.0, 1e-2):
+            df = factorize(ints, tol, tol)
+            fock = fock_matrix_of_decomposition(df)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_one_body", reference_one_body)
+                expected = fock_matrix_of_decomposition(df)
+            assert np.array_equal(fock.matrix, expected.matrix)
 
     def test_decomposition_size_cap(self):
         # the factorized assembler shares the raw assembler's cap
