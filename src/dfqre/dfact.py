@@ -1,7 +1,7 @@
 """Two-step (double) factorization of the two-electron tensor.
 
-Stage 1 eigendecomposes the symmetric pair matrix V[(ij),(kl)] = (ij|kl)
-in its packed n(n+1)/2-dimensional form; stage 2 eigendecomposes each
+Stage 1 eigendecomposes the pair matrix V[(ij),(kl)] = w_ij w_kl (ij|kl)
+(``IntegralSet.pairs``, weighted); stage 2 eigendecomposes each
 kept leaf matrix. The result rewrites the Hamiltonian as a corrected
 one-body part plus a weighted sum of squared one-body operators:
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import codec
 from .errors import NumericalError, ValidationError
-from .ingest import IntegralSet
+from .ingest import IntegralSet, _pair_indices, _pair_numbers
 
 # Relative cutoff below which an eigenvalue counts as numerically zero.
 # Zero-drops do not consume the truncation budget; they express rank.
@@ -70,7 +70,7 @@ class DFLeaf:
         return len(self.eigvals)
 
     def matrix(self) -> np.ndarray:
-        """The n x n symmetric leaf matrix, exactly symmetric entrywise."""
+        """The n x n leaf matrix, symmetric only to rounding."""
         return np.einsum("m,mi,mj->ij", self.eigvals, self.vecs, self.vecs)
 
 
@@ -143,28 +143,6 @@ class DFDecomposition:
         return codec.loads(cls, text, "decomposition JSON")
 
 
-# ---------------------------------------------------------------------------
-# Packed pair-matrix helpers
-
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pair list (i <= j) with isometry weights.
-
-    Off-diagonal pairs carry sqrt(2) so that packed vectors inherit the
-    Frobenius inner product of the symmetric matrices they represent.
-    """
-    iu, ju = np.triu_indices(n)
-    w = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    return iu, ju, w
-
-
-def pack_pair_matrix(h2: np.ndarray) -> np.ndarray:
-    """The packed symmetric matrix V[(ij),(kl)] = w_ij w_kl (ij|kl)."""
-    n = h2.shape[0]
-    iu, ju, w = _pair_indices(n)
-    v = h2[iu[:, None], ju[:, None], iu[None, :], ju[None, :]]
-    return v * w[:, None] * w[None, :]
-
-
 def _truncate_by_magnitude(eigvals: np.ndarray, tol: float
                            ) -> tuple[np.ndarray, float]:
     """Indices to keep under the discarded-|eigenvalue| budget ``tol``.
@@ -208,8 +186,10 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     elif not (tol_first >= 0 and tol_second >= 0):
         raise ValidationError("tolerances must be non-negative")
     n = integrals.n_orb
+    iu, ju, w = _pair_indices(n)
 
-    weights, pair_vecs = np.linalg.eigh(pack_pair_matrix(integrals.h2))
+    weights, pair_vecs = np.linalg.eigh(
+        integrals.pairs * w[:, None] * w[None, :])
     if not np.isfinite(weights).all():
         raise NumericalError("non-finite stage-1 eigenvalues")
     if eps_target is not None:
@@ -218,7 +198,6 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     kept, bound = _truncate_by_magnitude(weights, tol_first)
 
     # Invert the packing isometry for every kept stage-1 vector at once.
-    iu, ju, w = _pair_indices(n)
     leaf_mats = np.zeros((len(kept), n, n))
     vals = (pair_vecs[:, kept] / w[:, None]).T
     leaf_mats[:, iu, ju] = vals
@@ -245,7 +224,9 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
                              eigvals=eigvals[keep_m],
                              vecs=rows_all[rank_pos][keep_m]))
 
-    h_bar = integrals.h1 - 0.5 * np.einsum("illj->ij", integrals.h2)
+    table = _pair_numbers(n)  # (il|lj) gathered straight from the pairs
+    h_bar = integrals.h1 - 0.5 * np.einsum(
+        "ilj->ij", integrals.pairs[table[:, :, None], table[None]])
     h_bar = (h_bar + h_bar.T) / 2.0
     return DFDecomposition(n_orb=n, core_energy=integrals.core_energy,
                            h_bar=h_bar, leaves=tuple(leaves),
@@ -257,8 +238,8 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
 def reconstruct(df: DFDecomposition) -> np.ndarray:
     """Reassemble the two-electron tensor sum_r c_r L^r_ij L^r_kl.
 
-    The result is exactly 8-fold symmetric entrywise because every leaf
-    matrix is assembled symmetrically before the outer product.
+    The result is exactly symmetric under (ij) <-> (kl), but under i <-> j
+    only to rounding, as ``DFLeaf.matrix`` is.
     """
     n = df.n_orb
     h2 = np.zeros((n, n, n, n))

@@ -17,19 +17,19 @@ Integral file::
     <value> i j 0 0    one-electron integral h_ij
     <value> 0 0 0 0    core energy
 
-Only one canonical representative per 8-fold symmetry class is required;
-all permutational images are filled in on read. Repeated records must agree
-within ``DUPLICATE_TOL``: an h1 or h2 record is compared with the first
+Only one representative per 8-fold symmetry class is required, written as
+any of its images; the class is stored once, in ``IntegralSet.pairs``.
+Repeated records must agree within ``DUPLICATE_TOL``: an h1 or h2 record is compared with the first
 record of its class, which supplies the value, and a core energy with the
 latest one before it, the last one supplying the value.
 
 A bad file raises the ParseError of its first offending line in file
 order, with that line's number. On one line the checks run as listed:
 field count, number syntax, finiteness, index bounds or mixed zero/nonzero
-indices, then the duplicate rule ("previous at line N"). If the dense h2
-(8 n^4 bytes) would exceed the machine's physical memory, only the
-per-line checks run, no array is built, and a file that passes them is a
-ResourceLimitError.
+indices, then the duplicate rule ("previous at line N"). If the pair
+matrix (8 (n(n+1)/2)^2 bytes; n_orb up to about 250 fits in 8 GB) would
+exceed the machine's physical memory, only the per-line checks run, no
+array is built, and a file that passes them is a ResourceLimitError.
 
 numpy's C reader (``np.loadtxt``) reads all records into flat arrays in one
 call, and the checks run on whole arrays. If it refuses the file (a token
@@ -188,34 +188,59 @@ def _looks_like_atom_row(line: str) -> bool:
 class IntegralSet:
     """One- and two-electron integrals over spatial orbitals, in Hartree.
 
-    ``h2`` stores the chemists'-notation tensor (ij|kl) in a dense array
-    whose entries are exactly equal across all 8 permutational images.
+    ``pairs[p, q]`` is the chemists'-notation (ij|kl), unweighted, for the
+    pairs p = (i, j) and q = (k, l) in ``_pair_indices`` order. One 8-fold
+    symmetry class is one entry and its mirror: ``pairs`` is symmetric.
     """
 
     n_orb: int
     core_energy: float
     h1: np.ndarray
-    h2: np.ndarray
+    pairs: np.ndarray
 
     def __post_init__(self):
         n = self.n_orb
         if n < 1:
             raise ValidationError("n_orb must be positive")
         h1 = np.asarray(self.h1, dtype=float)
-        h2 = np.asarray(self.h2, dtype=float)
+        pairs = np.asarray(self.pairs, dtype=float)
         object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "core_energy", float(self.core_energy))
-        if h1.shape != (n, n) or h2.shape != (n, n, n, n):
+        if h1.shape != (n, n) or pairs.shape != (n * (n + 1) // 2,) * 2:
             raise ValidationError("integral array shapes do not match n_orb")
-        if not (np.isfinite(h1).all() and np.isfinite(h2).all()
+        if not (np.isfinite(h1).all() and np.isfinite(pairs).all()
                 and math.isfinite(self.core_energy)):
             raise ValidationError("non-finite integral values")
         if np.abs(h1 - h1.T).max(initial=0.0) > 1e-12:
             raise ValidationError("h1 is not symmetric within 1e-12")
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if not np.array_equal(h2, h2.transpose(perm)):
-                raise ValidationError("h2 violates 8-fold index symmetry")
+        if not np.array_equal(pairs, pairs.T):
+            raise ValidationError("pair matrix violates 8-fold index symmetry")
+
+    @property
+    def h2(self) -> np.ndarray:
+        """The dense (ij|kl) tensor, gathered from ``pairs`` anew each call."""
+        table = _pair_numbers(self.n_orb)
+        return self.pairs[table[:, :, None, None], table[None, None]]
+
+
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle pair list (i <= j) with isometry weights.
+
+    Off-diagonal pairs carry sqrt(2) so that packed vectors inherit the
+    Frobenius inner product of the symmetric matrices they represent.
+    """
+    iu, ju = np.triu_indices(n)
+    w = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    return iu, ju, w
+
+
+def _pair_numbers(n: int) -> np.ndarray:
+    """The (n, n) table whose (i, j) and (j, i) hold the number of pair
+    (min(i, j), max(i, j)) in ``_pair_indices`` order."""
+    table = np.zeros((n, n), dtype=np.intp)
+    table[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return np.maximum(table, table.T)
 
 
 def canonical_pair_index(i: int, j: int) -> tuple[int, int]:
@@ -230,24 +255,24 @@ def canonical_h2_index(i: int, j: int, k: int, l: int) -> tuple[int, int, int, i
 
 
 def parse_integrals(text: str) -> IntegralSet:
-    """Parse an integral file into a fully symmetry-expanded IntegralSet.
+    """Parse an integral file into an IntegralSet.
 
-    numpy's C reader reads every record; the checks and the symmetry
-    expansion run on whole arrays. A file it refuses, or one that fails a
+    numpy's C reader reads every record; the checks and the pair-matrix
+    fill run on whole arrays. A file it refuses, or one that fails a
     check, is read again line by line (contract: module docstring).
     """
     if not text.isascii() or any(sep in text for sep in "\r\v\f\x1c\x1d\x1e"):
         for sep in _LINE_BREAKS:  # else every break is already "\n"
             text = text.replace(sep, "\n")
     n_orb, no = _read_header(text)
-    need = 8 * n_orb**4  # bytes of the dense float64 h2
+    need = 8 * (n_orb * (n_orb + 1) // 2)**2  # bytes of the float64 pair matrix
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         lines = itertools.islice(enumerate(_lines(text), 1), no, None)
         errors = (_line_error(raw, k, n_orb) for k, raw in lines
                   if raw.split("#", 1)[0].split())
         raise next(filter(None, errors), ResourceLimitError(
-            f"NORB {n_orb}: a dense h2 needs {need} bytes, more than the "
+            f"NORB {n_orb}: the pair matrix needs {need} bytes, more than the "
             f"{have} bytes of memory"))
     values, indices = _read_records(text, no, n_orb) or (None, None)
     if values is not None:
@@ -275,12 +300,11 @@ def parse_integrals(text: str) -> IntegralSet:
     one, two = c < 0, c >= 0
     h1 = np.zeros((n_orb, n_orb))
     h1[a[one], b[one]] = h1[b[one], a[one]] = v[one]
-    a, b, c, d, v = a[two], b[two], c[two], d[two], v[two]
-    h2 = np.zeros((n_orb, n_orb, n_orb, n_orb))
-    for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                       (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
-        h2[p, q, r, s] = v
-    return IntegralSet(n_orb=n_orb, core_energy=core_energy, h1=h1, h2=h2)
+    table = _pair_numbers(n_orb)
+    p, q = table[a[two], b[two]], table[c[two], d[two]]
+    pairs = np.zeros((n_orb * (n_orb + 1) // 2,) * 2)
+    pairs[p, q] = pairs[q, p] = v[two]
+    return IntegralSet(n_orb=n_orb, core_energy=core_energy, h1=h1, pairs=pairs)
 
 
 def _lines(text: str):
@@ -388,29 +412,21 @@ def _line_error(raw: str, no: int, n_orb: int) -> ParseError | None:
 
 
 def serialize_integrals(integrals: IntegralSet) -> str:
-    """Write canonical-representative records for an IntegralSet."""
+    """Write the nonzero canonical-representative records of an
+    IntegralSet, pairs (i >= j) and pairs of pairs in lexicographic order."""
     n = integrals.n_orb
     out = [f"NORB {n}"]
     if integrals.core_energy != 0.0:
         out.append(f"{integrals.core_energy!r} 0 0 0 0")
-    for i in range(n):
-        for j in range(i + 1):
-            v = float(integrals.h1[i, j])
-            if v != 0.0:
-                out.append(f"{v!r} {i + 1} {j + 1} 0 0")
-    seen = set()
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    key = canonical_h2_index(i + 1, j + 1, k + 1, l + 1)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    v = float(
-                        integrals.h2[key[0] - 1, key[1] - 1, key[2] - 1, key[3] - 1])
-                    if v != 0.0:
-                        out.append(f"{v!r} {key[0]} {key[1]} {key[2]} {key[3]}")
+    i, j = np.tril_indices(n)
+    p, q = np.tril_indices(len(i))  # pairs of pairs, (i, j) >= (k, l)
+    pair = _pair_numbers(n)[i, j]
+    none = np.full_like(i, -1)  # h1 records end in "0 0"
+    values = np.concatenate([integrals.h1[i, j], integrals.pairs[pair[p], pair[q]]])
+    index = np.concatenate([[i, j, none, none], [i[p], j[p], i[q], j[q]]], axis=1)
+    keep = values != 0.0
+    out += [f"{v!r} {a} {b} {c} {d}" for v, (a, b, c, d)
+            in zip(values[keep].tolist(), (index[:, keep].T + 1).tolist())]
     return "\n".join(out) + "\n"
 
 
@@ -458,7 +474,8 @@ def gen_synthetic(spec: SyntheticSpec) -> IntegralSet:
     h1 = (raw + raw.T) / 2.0 * spec.magnitude
     core = spec.magnitude * rng.standard_normal()
 
-    h2 = np.zeros((n, n, n, n))
+    iu, ju, _ = _pair_indices(n)
+    pairs = np.zeros((len(iu), len(iu)))
     if spec.rank:
         scale = spec.magnitude / math.sqrt(spec.rank)
         for _ in range(spec.rank):
@@ -469,5 +486,5 @@ def gen_synthetic(spec: SyntheticSpec) -> IntegralSet:
             weight = scale * (0.5 + rng.random())
             if rng.random() < 0.5:
                 weight = -weight
-            h2 += weight * np.einsum("ij,kl->ijkl", leaf, leaf)
-    return IntegralSet(n_orb=n, core_energy=core, h1=h1, h2=h2)
+            pairs += weight * np.outer(leaf[iu, ju], leaf[iu, ju])
+    return IntegralSet(n_orb=n, core_energy=core, h1=h1, pairs=pairs)

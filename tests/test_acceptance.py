@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import dfqre
+from conftest import pair_residual
 from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
-    pack_pair_matrix, qpe_energy_offset, reconstruct
+    qpe_energy_offset, reconstruct
 from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals, \
     parse_xyz, serialize_xyz
 from dfqre.errors import ParseError
@@ -190,7 +191,7 @@ def test_criterion_5_factorization_oracle():
     ints = gen_synthetic(SyntheticSpec(n_orb=5, rank=12, seed=8))
     for tol in (1e-4, 1e-2, 1e-1):
         df = factorize(ints, tol_first=tol, tol_second=tol)
-        delta = pack_pair_matrix(ints.h2 - reconstruct(df))
+        delta = pair_residual(ints, df)
         two_norm = np.abs(np.linalg.eigvalsh(delta)).max()
         assert two_norm <= df.truncation_bound + 1e-12
 

@@ -638,8 +638,8 @@ def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
 
 @pytest.mark.parametrize("norb", [3000, 99999999999999999999])
 def test_oversized_norb_reports_resource_limit(tmp_path, norb):
-    """A header whose dense h2 cannot fit is refused before any array is
-    allocated: an error record naming the bytes, no traceback."""
+    """A header whose pair matrix cannot fit is refused before any array
+    is allocated: an error record naming the bytes, no traceback."""
     path = tmp_path / "big.ints"
     path.write_text(f"NORB {norb}\n0.5 1 1 0 0\n")
     src = str(Path(dfqre.__file__).parents[1])
@@ -651,4 +651,5 @@ def test_oversized_norb_reports_resource_limit(tmp_path, norb):
     assert "Traceback" not in proc.stderr
     err = strict_json(proc.stderr)
     assert err["error"] == "resource-limit"
-    assert f"needs {8 * norb**4} bytes" in err["message"]
+    assert f"pair matrix needs {8 * (norb * (norb + 1) // 2)**2} bytes" \
+        in err["message"]

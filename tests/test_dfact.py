@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import integral_set, pair_residual, stage1_matrix
 from dfqre.dfact import (DFDecomposition, DFLeaf, choose_tolerances,
-                         factorize, lambda_norms, pack_pair_matrix,
-                         qpe_energy_offset, reconstruct)
+                         factorize, lambda_norms, qpe_energy_offset,
+                         reconstruct)
 from dfqre.errors import ParseError, ValidationError
-from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic
+from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic, \
+    parse_integrals, serialize_integrals
 
 
 def make_set(n_orb, rank, seed=0, magnitude=1.0):
@@ -20,7 +22,7 @@ def make_set(n_orb, rank, seed=0, magnitude=1.0):
 def single_h2_entry(n, value):
     h2 = np.zeros((n, n, n, n))
     h2[0, 0, 0, 0] = value
-    return IntegralSet(n, 0.0, np.zeros((n, n)), h2)
+    return integral_set(n, 0.0, np.zeros((n, n)), h2)
 
 
 def reference_fix_sign(vec):
@@ -112,7 +114,7 @@ class TestFactorize:
         v = np.array([-1e-9, 0.6, -0.8])
         leaf = np.outer(v, v) / (v @ v)
         h2 = np.einsum("ij,kl->ijkl", leaf, leaf)
-        df = factorize(IntegralSet(3, 0.0, np.zeros((3, 3)), h2))
+        df = factorize(integral_set(3, 0.0, np.zeros((3, 3)), h2))
         assert df.n_leaves == 1 and df.leaves[0].n_eigs == 1
         row = df.leaves[0].vecs[0]
         np.testing.assert_allclose(row, v / np.linalg.norm(v), atol=1e-12)
@@ -140,7 +142,7 @@ class TestFactorize:
         ints = make_set(5, 12, seed=8)
         for tol in (1e-3, 1e-2, 1e-1):
             df = factorize(ints, tol_first=tol, tol_second=tol)
-            delta = pack_pair_matrix(ints.h2 - reconstruct(df))
+            delta = pair_residual(ints, df)
             two_norm = np.abs(np.linalg.eigvalsh(delta)).max()
             assert two_norm <= df.truncation_bound + 1e-12
             # tolerance-form bound: stage 1 contributes tol directly, each
@@ -164,7 +166,7 @@ class TestFactorize:
         tols = st.floats(1e-4, 1.0)
         ints = make_set(n_orb, rank, seed=data.draw(st.integers(0, 2**32)))
         df = factorize(ints, data.draw(tols), data.draw(tols))
-        delta = pack_pair_matrix(ints.h2 - reconstruct(df))
+        delta = pair_residual(ints, df)
         assert np.linalg.norm(delta, 2) <= df.truncation_bound + 1e-12
 
     @pytest.mark.parametrize("n_orb", [2, 4, 6])
@@ -207,9 +209,20 @@ class TestFactorize:
         assert np.abs(reconstruct(again) - reconstruct(df)).max() == 0.0
 
 
+def test_chain_builds_no_dense_h2(monkeypatch):
+    """Generation, serialization, parsing and factorization work on the
+    pair matrix; only the oracles read the dense n^4 h2."""
+    def refuse(self):
+        raise AssertionError("the dense h2 was built")
+    monkeypatch.setattr(IntegralSet, "h2", property(refuse))
+    ints = parse_integrals(serialize_integrals(make_set(4, 10, seed=2)))
+    factorize(ints)
+    factorize(ints, eps_target=1e-2)
+
+
 class TestLambdaNorms:
     def test_zero_hamiltonian(self):
-        ints = IntegralSet(2, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
+        ints = integral_set(2, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
         assert lambda_norms(factorize(ints)) == (0.0, 0.0, 0.0)
 
     def test_single_leaf_arithmetic(self):
@@ -243,8 +256,8 @@ class TestLambdaNorms:
 
     def test_tight_on_one_orbital(self):
         from dfqre.verify import build_fock_matrix
-        ints = IntegralSet(1, 0.0, np.array([[1.2]]),
-                           np.full((1, 1, 1, 1), 0.9))
+        ints = integral_set(1, 0.0, np.array([[1.2]]),
+                            np.full((1, 1, 1, 1), 0.9))
         df = factorize(ints)
         _, _, lam = lambda_norms(df)
         shift = qpe_energy_offset(df)
@@ -254,7 +267,7 @@ class TestLambdaNorms:
 
 
 def stage1_weights(ints):
-    return np.linalg.eigh(pack_pair_matrix(ints.h2))[0]
+    return np.linalg.eigh(stage1_matrix(ints))[0]
 
 
 class TestChooseTolerances:

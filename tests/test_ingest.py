@@ -1,10 +1,14 @@
+import itertools
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import pack_pairs, stage1_matrix
 from dfqre import ingest
 from dfqre.errors import EmptyInputError, ParseError, ValidationError
 from dfqre.ingest import (DUPLICATE_TOL, IntegralSet, SyntheticSpec,
@@ -76,6 +80,23 @@ class TestParseXyz:
         assert serialize_xyz(parse_xyz(text)) == text  # byte-stable
 
 
+# Labels the XYZ format can hold: one line, no surrounding whitespace, and
+# not readable as an atom row (parse_xyz would take that for the first atom)
+_labels = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                  max_size=20).filter(
+    lambda s: s == s.strip() and not ingest._looks_like_atom_row(s))
+_atoms = st.builds(ingest.Atom, st.sampled_from(ingest.ELEMENTS),
+                   st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(ingest.Geometry, _labels, st.lists(_atoms, min_size=1, max_size=8)))
+def test_xyz_round_trip_property(geom):
+    text = serialize_xyz(geom)
+    assert parse_xyz(text) == geom
+    assert serialize_xyz(parse_xyz(text)) == text  # byte-stable
+
+
 class TestParseIntegrals:
     def test_single_orbital_records(self):
         text = "NORB 1\n0.5 0 0 0 0\n-1.25 1 1 0 0\n0.6625 1 1 1 1\n"
@@ -91,6 +112,8 @@ class TestParseIntegrals:
         for idx in images:
             assert h2[idx] == 0.1
         assert np.count_nonzero(h2) == 4
+        # pairs (1, 1), (1, 2), (2, 2): the class is one diagonal entry
+        assert ints.pairs.tolist() == [[0.0] * 3, [0.0, 0.1, 0.0], [0.0] * 3]
 
     def test_index_out_of_range(self):
         with pytest.raises(ParseError) as err:
@@ -118,12 +141,23 @@ class TestParseIntegrals:
         text = "# header comment\nNORB 1\n\n0.25 1 1 0 0  # inline\n"
         assert parse_integrals(text).h1[0, 0] == 0.25
 
-    def test_serialize_round_trip(self):
-        ints = gen_synthetic(SyntheticSpec(n_orb=3, rank=4, seed=3))
-        again = parse_integrals(serialize_integrals(ints))
+    @pytest.mark.parametrize("core", [None, 0.0])
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("n_orb", range(1, 7))
+    def test_serialize_round_trip(self, n_orb, full, core):
+        rank = n_orb * (n_orb + 1) // 2 if full else 0
+        ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=rank, seed=n_orb))
+        if core is not None:
+            ints = replace(ints, core_energy=core)
+        assert (ints.core_energy == 0.0) == (core == 0.0)
+        text = serialize_integrals(ints)
+        expected = reference_serialize_integrals(ints)
+        assert text.splitlines()[:2] == expected.splitlines()[:2]
+        assert sorted(text.splitlines()) == sorted(expected.splitlines())
+        again = parse_integrals(text)
         assert again.n_orb == ints.n_orb
-        np.testing.assert_allclose(again.h1, ints.h1, atol=0)
-        np.testing.assert_allclose(again.h2, ints.h2, atol=0)
+        assert np.array_equal(again.h1, ints.h1)
+        assert np.array_equal(again.pairs, ints.pairs)
         assert again.core_energy == ints.core_energy
 
 
@@ -131,42 +165,62 @@ class TestIntegralSetInvariants:
     def test_asymmetric_h1_rejected(self):
         h1 = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError):
-            IntegralSet(2, 0.0, h1, np.zeros((2, 2, 2, 2)))
+            IntegralSet(2, 0.0, h1, np.zeros((3, 3)))
 
-    def test_asymmetric_h2_rejected(self):
-        h2 = np.zeros((2, 2, 2, 2))
-        h2[0, 1, 0, 0] = 1.0
-        with pytest.raises(ValidationError):
-            IntegralSet(2, 0.0, np.zeros((2, 2)), h2)
+    def test_asymmetric_pairs_rejected(self):
+        pairs = np.zeros((3, 3))
+        pairs[1, 0] = 1.0  # (12|11) without its mirror (11|12)
+        with pytest.raises(ValidationError, match="8-fold"):
+            IntegralSet(2, 0.0, np.zeros((2, 2)), pairs)
+
+    def test_dense_h2_rejected(self):
+        with pytest.raises(ValidationError, match="shapes"):
+            IntegralSet(2, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
 
     def test_non_finite_rejected(self):
-        h2 = np.zeros((1, 1, 1, 1))
         with pytest.raises(ValidationError):
-            IntegralSet(1, float("nan"), np.zeros((1, 1)), h2)
+            IntegralSet(1, float("nan"), np.zeros((1, 1)), np.zeros((1, 1)))
+        pairs = np.zeros((3, 3))
+        pairs[2, 2] = float("inf")
+        with pytest.raises(ValidationError):
+            IntegralSet(2, 0.0, np.zeros((2, 2)), pairs)
+
+    def test_fixture_packing_refuses_asymmetric_h2(self):
+        h2 = np.zeros((2, 2, 2, 2))
+        h2[0, 1, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="8-fold"):
+            pack_pairs(h2)
+
+    @pytest.mark.parametrize("n_orb", range(1, 6))
+    def test_h2_gathers_every_image(self, n_orb):
+        ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=n_orb, seed=4))
+        h2 = ints.h2
+        assert h2.shape == (n_orb,) * 4
+        assert np.array_equal(pack_pairs(h2), ints.pairs)  # 8-fold symmetric
+        assert ints.h2 is not h2  # built on each call, not kept
 
 
 class TestGenSynthetic:
     def test_zero_rank_gives_zero_tensor(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=3, rank=0, seed=7))
-        assert np.count_nonzero(ints.h2) == 0
+        assert np.count_nonzero(ints.pairs) == 0
 
     def test_rank_matches_gram_spectrum(self):
-        from dfqre.dfact import pack_pair_matrix
         ints = gen_synthetic(SyntheticSpec(n_orb=4, rank=3, seed=1))
-        eigs = np.linalg.eigvalsh(pack_pair_matrix(ints.h2))
+        eigs = np.linalg.eigvalsh(stage1_matrix(ints))
         assert np.count_nonzero(np.abs(eigs) > 1e-10) == 3
 
     def test_determinism(self):
         spec = SyntheticSpec(n_orb=5, rank=7, seed=123)
         first, second = gen_synthetic(spec), gen_synthetic(spec)
         assert np.array_equal(first.h1, second.h1)
-        assert np.array_equal(first.h2, second.h2)
+        assert np.array_equal(first.pairs, second.pairs)
         assert first.core_energy == second.core_energy
 
     def test_seed_changes_output(self):
         a = gen_synthetic(SyntheticSpec(n_orb=3, rank=2, seed=1))
         b = gen_synthetic(SyntheticSpec(n_orb=3, rank=2, seed=2))
-        assert not np.array_equal(a.h2, b.h2)
+        assert not np.array_equal(a.pairs, b.pairs)
 
     def test_rank_cap_enforced(self):
         with pytest.raises(ValidationError):
@@ -174,11 +228,10 @@ class TestGenSynthetic:
 
     @pytest.mark.parametrize("n_orb", [1, 2, 3, 4, 5, 6])
     def test_rank_property_exhaustive(self, n_orb):
-        from dfqre.dfact import pack_pair_matrix
         for rank in range(n_orb * (n_orb + 1) // 2 + 1):
             ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=rank,
                                                seed=17 + rank))
-            eigs = np.linalg.eigvalsh(pack_pair_matrix(ints.h2))
+            eigs = np.linalg.eigvalsh(stage1_matrix(ints))
             assert np.count_nonzero(np.abs(eigs) > 1e-10) == rank
 
 
@@ -186,9 +239,11 @@ class TestGenSynthetic:
 # Equivalence of the block parser with a line-by-line reference
 
 
-def reference_parse_integrals(text: str) -> IntegralSet:
+def reference_parse_integrals(text: str) -> SimpleNamespace:
     """The line-by-line integral parser the block parser replaced, kept as
-    the oracle for its arrays and its errors."""
+    the oracle for its arrays and its errors. Its h2 is the dense tensor
+    with every image of each class written out, and its pairs that h2
+    packed."""
     n_orb = None
     core: tuple[float, int] | None = None  # (value, line)
     h1_entries: dict[tuple[int, int], tuple[float, int]] = {}
@@ -259,8 +314,32 @@ def reference_parse_integrals(text: str) -> IntegralSet:
         for p, q, r, s in ((a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
                            (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)):
             h2[p, q, r, s] = value
-    return IntegralSet(n_orb=n_orb, core_energy=core[0] if core else 0.0,
-                       h1=h1, h2=h2)
+    return SimpleNamespace(n_orb=n_orb, core_energy=core[0] if core else 0.0,
+                           h1=h1, h2=h2, pairs=pack_pairs(h2))
+
+
+def reference_serialize_integrals(integrals: IntegralSet) -> str:
+    """The loop writer the vectorized one replaced: the same records, in
+    the order in which the loop over (i, j, k, l) first meets a class."""
+    n = integrals.n_orb
+    h2 = integrals.h2
+    out = [f"NORB {n}"]
+    if integrals.core_energy != 0.0:
+        out.append(f"{integrals.core_energy!r} 0 0 0 0")
+    for i in range(n):
+        for j in range(i + 1):
+            v = float(integrals.h1[i, j])
+            if v != 0.0:
+                out.append(f"{v!r} {i + 1} {j + 1} 0 0")
+    seen = set()
+    for idx in itertools.product(range(1, n + 1), repeat=4):
+        key = canonical_h2_index(*idx)
+        if key not in seen:
+            seen.add(key)
+            v = float(h2[tuple(x - 1 for x in key)])
+            if v != 0.0:
+                out.append(f"{v!r} {key[0]} {key[1]} {key[2]} {key[3]}")
+    return "\n".join(out) + "\n"
 
 
 def _reference_check_bounds(indices, n_orb: int, line: int):
@@ -276,7 +355,7 @@ def _outcome(parse, text):
     except ParseError as exc:
         return type(exc), exc.line, str(exc)
     return (ints.n_orb, np.float64(ints.core_energy).tobytes(),
-            ints.h1.tobytes(), ints.h2.tobytes())
+            ints.h1.tobytes(), ints.pairs.tobytes(), ints.h2.tobytes())
 
 
 def assert_same_as_reference(text):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfqre import codec
 from dfqre.dfact import factorize
@@ -121,7 +123,7 @@ class TestWalkStepCost:
 
 class TestEstimateLogical:
     def test_zero_hamiltonian(self):
-        ints = IntegralSet(2, 0.0, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
+        ints = IntegralSet(2, 0.0, np.zeros((2, 2)), np.zeros((3, 3)))
         est = estimate_logical(factorize(ints))
         assert est.qpe_steps == 0
         assert est.t_count == 0
@@ -173,3 +175,24 @@ class TestEstimateLogical:
         again = codec.loads(LogicalEstimate, est.dumps(), "logical JSON")
         assert again.t_count == est.t_count
         assert again.n_logical_qubits == est.n_logical_qubits
+
+
+def _t_count(df, eps):
+    return estimate_logical(df, EstimationConfig(eps_total_energy=eps)).t_count
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_t_count_does_not_fall_as_eps_shrinks(n_orb, data):
+    """Over the synthetic ladder, a tighter accuracy never costs fewer T
+    gates: for one decomposition, and with the tolerances derived from
+    the accuracy (``factorize(eps_target=eps)``)."""
+    rank = data.draw(st.integers(0, n_orb * (n_orb + 1) // 2), label="rank")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    eps = st.floats(1e-12, 1.0)
+    tight, loose = sorted(data.draw(st.tuples(eps, eps), label="eps"))
+    ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=rank, seed=seed))
+    df = factorize(ints)
+    assert _t_count(df, tight) >= _t_count(df, loose)
+    assert _t_count(factorize(ints, eps_target=tight), tight) \
+        >= _t_count(factorize(ints, eps_target=loose), loose)

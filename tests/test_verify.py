@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dfqre
+from conftest import integral_set
 from dfqre import verify
 from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
     qpe_energy_offset
 from dfqre.errors import ResourceLimitError, ValidationError
-from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic, \
-    parse_integrals
+from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals
 from dfqre.verify import (FOCK_MAX_ORBITALS, build_fock_matrix,
                           build_walk_operator, check_df_equivalence,
                           fock_matrix_of_decomposition, run_qpe,
@@ -27,7 +27,7 @@ from dfqre.verify import (FOCK_MAX_ORBITALS, build_fock_matrix,
 
 
 def hubbard_atom(eps, u, core=0.0):
-    return IntegralSet(1, core, np.array([[eps]]), np.full((1, 1, 1, 1), u))
+    return integral_set(1, core, np.array([[eps]]), np.full((1, 1, 1, 1), u))
 
 
 def _reference_annihilation_operators(n_spin_orb):
@@ -205,7 +205,7 @@ class TestFockMatrix:
         np.testing.assert_allclose(eigs, [0.0, 0.7, 0.7, 2.3], atol=1e-12)
 
     def test_core_only_is_scaled_identity(self):
-        ints = IntegralSet(2, -1.5, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
+        ints = integral_set(2, -1.5, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)))
         fock = build_fock_matrix(ints)
         np.testing.assert_allclose(fock.matrix, -1.5 * np.eye(16), atol=0)
 
@@ -220,7 +220,7 @@ class TestFockMatrix:
         assert np.abs(commutator).max() <= 1e-12
 
     def test_size_cap(self):
-        ints = IntegralSet(7, 0.0, np.zeros((7, 7)), np.zeros((7, 7, 7, 7)))
+        ints = integral_set(7, 0.0, np.zeros((7, 7)), np.zeros((7, 7, 7, 7)))
         with pytest.raises(ResourceLimitError):
             build_fock_matrix(ints)
 
@@ -250,8 +250,8 @@ class TestReferenceAssembler:
 
     def test_fixtures_bit_identical(self):
         fixtures = [hubbard_atom(0.7, 0.9),
-                    IntegralSet(2, -1.5, np.zeros((2, 2)),
-                                np.zeros((2, 2, 2, 2)))]
+                    integral_set(2, -1.5, np.zeros((2, 2)),
+                                 np.zeros((2, 2, 2, 2)))]
         fixtures += [gen_synthetic(SyntheticSpec(n_orb=n, rank=r, seed=s))
                      for n, r, s in [(1, 0, 0), (2, 1, 1), (2, 2, 2), (3, 3, 3),
                                      (1, 1, 0), (2, 3, 1), (3, 1, 2),
