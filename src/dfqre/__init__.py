@@ -13,13 +13,10 @@ from .dfact import (DFDecomposition, DFLeaf, choose_tolerances, factorize,
                     lambda_norms, qpe_energy_offset, reconstruct)
 from .ingest import (Atom, Geometry, IntegralSet, SyntheticSpec, gen_synthetic,
                      parse_integrals, parse_xyz, serialize_xyz)
-from .logicalcost import (BudgetSplit, EstimationConfig,
-                          LogicalEstimate, estimate_logical, qpe_steps,
-                          walk_step_cost)
+from .logicalcost import (BudgetSplit, EstimationConfig, LogicalEstimate,
+                          estimate_logical)
 from .physcost import (CodeParams, FactoryDesign, PhysicalEstimate,
-                       QubitParams, count_factories, design_factories,
-                       estimate_physical, get_preset, layout_tiles,
-                       logical_error_rate, select_distance)
+                       QubitParams, estimate_physical, get_preset)
 from .pipeline import (DimerEnergy, FragmentEnergyLedger, ReportRow,
                        binding_affinity, fit_scaling, fmo_assemble,
                        load_reference_table, reproduce_table)
@@ -29,11 +26,9 @@ __all__ = [
     "parse_integrals", "parse_xyz", "serialize_xyz",
     "DFDecomposition", "DFLeaf", "factorize", "reconstruct", "lambda_norms",
     "choose_tolerances", "qpe_energy_offset",
-    "BudgetSplit", "EstimationConfig", "LogicalEstimate",
-    "estimate_logical", "qpe_steps", "walk_step_cost",
+    "BudgetSplit", "EstimationConfig", "LogicalEstimate", "estimate_logical",
     "CodeParams", "FactoryDesign", "PhysicalEstimate", "QubitParams",
-    "count_factories", "design_factories", "estimate_physical", "get_preset",
-    "layout_tiles", "logical_error_rate", "select_distance",
+    "estimate_physical", "get_preset",
     "DimerEnergy", "FragmentEnergyLedger", "ReportRow", "binding_affinity",
     "fit_scaling", "fmo_assemble", "load_reference_table", "reproduce_table",
 ]

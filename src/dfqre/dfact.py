@@ -91,6 +91,8 @@ class DFDecomposition:
         object.__setattr__(self, "h_bar", h_bar)
         if h_bar.shape != (self.n_orb, self.n_orb):
             raise ValidationError("h_bar shape mismatch")
+        if self.n_orb < 1:
+            raise ValidationError("n_orb must be positive")
         # a leaf with no eigenpairs reads back from JSON as vecs of shape (0,)
         object.__setattr__(self, "leaves", tuple(
             leaf if leaf.n_eigs else replace(
@@ -258,10 +260,11 @@ def lambda_norms(df: DFDecomposition) -> tuple[float, float, float]:
     ``qpe_energy_offset``.
     """
     lam_t = float(np.abs(np.linalg.eigvalsh(df.h_bar)).sum())
+    # s * s, not s ** 2: a square past the float range is inf, not an
+    # OverflowError, and the non-finite lambda is refused downstream
+    norms = (float(np.abs(leaf.eigvals).sum()) for leaf in df.leaves)
     lam_v = 0.25 * SPIN_SQUARE_FACTOR * sum(
-        abs(leaf.weight) * float(np.abs(leaf.eigvals).sum()) ** 2
-        for leaf in df.leaves
-    )
+        abs(leaf.weight) * (s * s) for leaf, s in zip(df.leaves, norms))
     return lam_t, lam_v, lam_t + lam_v
 
 

@@ -103,6 +103,12 @@ class Geometry:
     def __post_init__(self):
         if not self.atoms:
             raise ValidationError("geometry has no atoms")
+        # the label is the XYZ comment line: parse_xyz strips it, and reads
+        # it as the first atom if it has an atom row's shape
+        label = self.label
+        if (label != label.strip() or len(label.splitlines()) > 1
+                or _looks_like_atom_row(label)):
+            raise ValidationError(f"label {label!r} is not one XYZ comment line")
         object.__setattr__(self, "atoms", tuple(self.atoms))
 
     def __len__(self) -> int:

@@ -83,37 +83,30 @@ class WalkStepCost:
     qubit_breakdown: dict = field(default_factory=dict)
 
 
-def qpe_steps(lam: float, eps_phase: float) -> int:
+def _qpe_steps(lam: float, eps_phase: float) -> int:
     """Walk applications for phase accuracy eps_phase at normalization lam.
 
     ceil(pi * lam / (2 * eps_phase)), the standard qubitized-QPE count.
     """
     if not eps_phase > 0:
         raise ValidationError("eps_phase must be positive")
-    if not lam >= 0:  # nan fails too
-        raise ValidationError("lam must be non-negative")
     steps = math.pi * lam / (2.0 * eps_phase)
     if not math.isfinite(steps):
         raise ValidationError(f"no finite step count at eps_phase {eps_phase:g}")
     return math.ceil(steps)
 
 
-def walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
-                   total_steps: int = 1) -> WalkStepCost:
+def _walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
+                    total_steps: int) -> WalkStepCost:
     """T and ancilla cost of one controlled walk step.
 
     ``dims`` is ``(n_orb, n_leaves, total_leaf_eigs)``, as returned by
-    ``DFDecomposition.dims()``. ``total_steps`` sets the number of walk
-    applications in the whole run; the rotation-synthesis tolerance divides
-    the rotation error budget across every rotation of the run, so
+    ``DFDecomposition.dims()``. ``total_steps`` (>= 1) sets the number of
+    walk applications in the whole run; the rotation-synthesis tolerance
+    divides the rotation error budget across every rotation of the run, so
     per-step cost grows slowly with run length.
     """
     n, n_leaves, total_eigs = dims
-    if n < 1 or n_leaves < 0 or total_eigs < 0:
-        raise ValidationError("inconsistent decomposition dimensions")
-    if total_steps < 1:
-        raise ValidationError("total_steps must be >= 1")
-
     # one extra "leaf" accounts for the hbar basis change
     rotations_per_step = ROTATIONS_PER_LEAF_FACTOR * n * (n_leaves + 1)
     total_rotations = total_steps * rotations_per_step
@@ -186,8 +179,8 @@ def estimate_logical(df: DFDecomposition,
     """
     config = config or EstimationConfig()
     _, _, lam = lambda_norms(df)
-    steps = qpe_steps(lam, config.eps_total_energy / 2.0)
-    cost = walk_step_cost(df.dims(), config, total_steps=max(steps, 1))
+    steps = _qpe_steps(lam, config.eps_total_energy / 2.0)
+    cost = _walk_step_cost(df.dims(), config, max(steps, 1))
     t_count = steps * cost.t_per_step
     phase_bits = math.ceil(math.log2(steps)) if steps > 0 else 0
     n_logical = 2 * df.n_orb + phase_bits + cost.ancilla_qubits

@@ -7,7 +7,7 @@ prefactor, tile layout, factory footprint and period) were calibrated
 once against published fragment estimates for the superconducting
 "qubit_gate_ns_e4" parameter set and are documented design choices of
 this artifact. A factory design depends on the qubits, the code and the
-round count alone, so ``design_factories`` keeps one per key in a
+round count alone, so ``_design_factories`` keeps one per key in a
 fixed-size cache; a budget sweep builds each design once.
 """
 
@@ -98,31 +98,9 @@ class CodeParams:
             raise ValidationError("d_min must be a positive odd integer")
 
 
-def logical_error_rate(d: int, p: float, code: CodeParams | None = None) -> float:
+def _logical_error_rate(d: int, p: float, code: CodeParams) -> float:
     """Per-tile per-cycle logical failure: a * (p / p_th)^((d+1)/2)."""
-    code = code or CodeParams()
-    if d < code.d_min or d % 2 == 0:
-        raise ValidationError(f"distance must be odd and >= {code.d_min}")
-    if not 0 <= p < code.p_threshold:
-        raise ValidationError(
-            f"physical error rate {p} at or above threshold {code.p_threshold}")
     return code.a_coeff * (p / code.p_threshold) ** ((d + 1) / 2)
-
-
-def layout_tiles(n_alg_qubits: int) -> int:
-    """Tiles for a 2D lattice-surgery layout: algorithmic plus routing.
-
-    2n + ceil(sqrt(8n)) + 1, an n-qubit core with an ancilla/routing
-    corridor that grows with the perimeter.
-    """
-    if n_alg_qubits < 1:
-        raise ValidationError("need at least one algorithmic qubit")
-    return 2 * n_alg_qubits + _ceil_sqrt(8 * n_alg_qubits) + 1
-
-
-def _ceil_sqrt(value: int) -> int:
-    root = math.isqrt(value)
-    return root if root * root == value else root + 1
 
 
 def _min_distance(scale: float, limit: float, qp: QubitParams,
@@ -130,37 +108,18 @@ def _min_distance(scale: float, limit: float, qp: QubitParams,
     """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit;
     None for an int scale past the float range, whose product with any
     normal float p_L(d) exceeds 1 (and whose conversion would overflow).
-    p_L(d) is ``logical_error_rate``'s expression, bit for bit."""
+    p_L(d) is ``_logical_error_rate``'s expression, bit for bit."""
     if scale > sys.float_info.max:
         return None
     distances = range(code.d_min, MAX_DISTANCE + 1, 2)
-    if distances:  # logical_error_rate's d and p checks, once for all d
-        logical_error_rate(code.d_min, qp.p_gate, code)
+    if distances and not qp.p_gate < code.p_threshold:
+        raise ValidationError(f"physical error rate {qp.p_gate} at or above "
+                              f"threshold {code.p_threshold}")
     ratio = qp.p_gate / code.p_threshold
     for d in distances:
         if scale * (code.a_coeff * ratio ** ((d + 1) / 2)) <= limit:
             return d
     return None
-
-
-def select_distance(n_alg_qubits: int, cycles: int, qp: QubitParams,
-                    code: CodeParams | None = None, *,
-                    eps_logical: float) -> int:
-    """Smallest odd distance keeping total logical failure within budget.
-
-    The budget check is tiles * cycles * logical_error_rate(d), i.e. every
-    tile is assumed active on every cycle.
-    """
-    code = code or CodeParams()
-    if cycles < 1:
-        raise ValidationError("cycles must be >= 1")
-    if not 0 < eps_logical < 1:
-        raise ValidationError("eps_logical must lie in (0, 1)")
-    d = _min_distance(layout_tiles(n_alg_qubits) * cycles, eps_logical, qp, code)
-    if d is None:
-        raise DistanceSaturationError(
-            f"no distance <= {MAX_DISTANCE} meets logical budget {eps_logical:g}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -185,8 +144,8 @@ class FactoryDesign:
             raise ValidationError("factory qubits and duration must be positive")
 
 
-def design_factories(qp: QubitParams, per_t_error_budget: float,
-                     code: CodeParams | None = None) -> FactoryDesign:
+def _design_factories(qp: QubitParams, per_t_error_budget: float,
+                      code: CodeParams) -> FactoryDesign:
     """Search 15-to-1 rounds for the smallest design meeting the budget.
 
     Round k takes the previous round's output as input; acceptance
@@ -199,7 +158,6 @@ def design_factories(qp: QubitParams, per_t_error_budget: float,
     for the chosen rounds depends only on (qp, code, rounds) and comes
     from a fixed-size cache. Errors are raised on every call, never cached.
     """
-    code = code or CodeParams()
     if not 0 < per_t_error_budget < 1:
         raise ValidationError("per-T error budget must lie in (0, 1)")
     chain = _distillation_chain(qp.p_gate)
@@ -239,11 +197,9 @@ def _design(qp: QubitParams, code: CodeParams, rounds: int) -> FactoryDesign:
                          output_error=chain[rounds])
 
 
-def count_factories(d: int, qp: QubitParams, fd: FactoryDesign) -> int:
+def _count_factories(d: int, qp: QubitParams, fd: FactoryDesign) -> int:
     """Parallel factories sustaining one T state per logical cycle:
     ceil(duration / t_cycle(d))."""
-    if d < 1:
-        raise ValidationError("d must be positive")
     return -(-fd.duration_fs // (d * qp.syndrome_round_fs))
 
 
@@ -282,7 +238,10 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
     if t_count < 0:
         raise ValidationError("t_count must be non-negative")
 
-    tiles = layout_tiles(n_alg_qubits)
+    # a 2D lattice-surgery layout: the algorithmic tiles plus a routing
+    # corridor that grows with the perimeter, 2n + ceil(sqrt(8n)) + 1,
+    # where ceil(sqrt(m)) = isqrt(m - 1) + 1 for m >= 1
+    tiles = 2 * n_alg_qubits + math.isqrt(8 * n_alg_qubits - 1) + 2
     if t_count == 0:
         return PhysicalEstimate(
             distance=code.d_min, tiles=tiles, n_factories=0,
@@ -290,17 +249,24 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
             n_physical_qubits=tiles * 2 * code.d_min**2,
             runtime_s=0.0, cycles=0)
 
-    d = select_distance(n_alg_qubits, t_count, qp, code,
-                        eps_logical=config.budget_split.logical)
-    fd = design_factories(qp, config.budget_split.t_states / t_count, code)
-    n_factories = count_factories(d, qp, fd)
+    # the smallest odd d with tiles * cycles * p_L(d) within the logical
+    # share: every tile is taken as active on every cycle
+    eps_logical = config.budget_split.logical
+    if not 0 < eps_logical < 1:
+        raise ValidationError("eps_logical must lie in (0, 1)")
+    d = _min_distance(tiles * t_count, eps_logical, qp, code)
+    if d is None:
+        raise DistanceSaturationError(
+            f"no distance <= {MAX_DISTANCE} meets logical budget {eps_logical:g}")
+    fd = _design_factories(qp, config.budget_split.t_states / t_count, code)
+    n_factories = _count_factories(d, qp, fd)
     factory_total = n_factories * fd.qubits_per_factory
     n_physical = tiles * 2 * d * d + factory_total
     runtime = t_count * (qp.syndrome_round_time * d)
     if not math.isfinite(runtime) or fd.duration_fs > sys.float_info.max:
         raise ValidationError(
             "runtime or factory duration past the float range")
-    failure = tiles * t_count * logical_error_rate(d, qp.p_gate, code)
+    failure = tiles * t_count * _logical_error_rate(d, qp.p_gate, code)
     return PhysicalEstimate(distance=d, tiles=tiles, n_factories=n_factories,
                             factory_qubits_total=factory_total,
                             n_physical_qubits=n_physical, runtime_s=runtime,

@@ -19,8 +19,8 @@ from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
 from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals, \
     parse_xyz, serialize_xyz
 from dfqre.errors import ParseError
-from dfqre.logicalcost import EstimationConfig, walk_step_cost
-from dfqre.physcost import get_preset, logical_error_rate, layout_tiles
+from dfqre.logicalcost import EstimationConfig, _walk_step_cost
+from dfqre.physcost import CodeParams, _logical_error_rate, get_preset
 from dfqre.pipeline import (DimerEnergy, FragmentEnergyLedger,
                             binding_affinity, fit_scaling, fmo_assemble,
                             reproduce_table)
@@ -77,10 +77,9 @@ def test_criterion_2_tight_budget_pin():
     assert frag6.distance == 19
     assert frag11.distance == 17
 
-    failure_6_at_17 = layout_tiles(2938) * 1.87e13 \
-        * logical_error_rate(17, QP.p_gate)
-    failure_11_at_17 = layout_tiles(2734) * 1.62e13 \
-        * logical_error_rate(17, QP.p_gate)
+    p_l_17 = _logical_error_rate(17, QP.p_gate, CodeParams())
+    failure_6_at_17 = frag6.tiles * 1.87e13 * p_l_17
+    failure_11_at_17 = frag11.tiles * 1.62e13 * p_l_17
     assert failure_6_at_17 > eps_logical
     assert failure_11_at_17 <= eps_logical
     assert failure_6_at_17 == pytest.approx(3.38e-3, rel=0.01)
@@ -169,7 +168,7 @@ def test_criterion_4_logical_layer_properties():
 
     # rotation-budget identity holds exactly at several run lengths
     for steps in (1, 313, 10**6):
-        cost = walk_step_cost((6, 21, 126), config, steps)
+        cost = _walk_step_cost((6, 21, 126), config, steps)
         assert steps * cost.rotations_per_step * cost.eps_rotation \
             <= config.budget_split.rotations
 

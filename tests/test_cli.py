@@ -34,6 +34,22 @@ def integral_file(tmp_path):
     return path
 
 
+def test_public_names():
+    # the two estimates, their parameter types, and the chain around them;
+    # the inner cost steps are private to their modules
+    assert sorted(dfqre.__all__) == [
+        "Atom", "BudgetSplit", "CodeParams", "DFDecomposition", "DFLeaf",
+        "DimerEnergy", "EstimationConfig", "FactoryDesign",
+        "FragmentEnergyLedger", "Geometry", "IntegralSet", "LogicalEstimate",
+        "PhysicalEstimate", "QubitParams", "ReportRow", "SyntheticSpec",
+        "binding_affinity", "choose_tolerances", "estimate_logical",
+        "estimate_physical", "factorize", "fit_scaling", "fmo_assemble",
+        "gen_synthetic", "get_preset", "lambda_norms", "load_reference_table",
+        "parse_integrals", "parse_xyz", "qpe_energy_offset", "reconstruct",
+        "reproduce_table", "serialize_xyz"]
+    assert all(hasattr(dfqre, name) for name in dfqre.__all__)
+
+
 def test_parse_xyz_round_trip(tmp_path, capsys):
     path = tmp_path / "w.xyz"
     path.write_text(WATER_XYZ)
@@ -534,6 +550,12 @@ PHYSICAL_X = ["--config", "{}", "estimate-physical", "--qubits", "100",
      ["estimate-logical", "{}"], "invalid-input"),
     ("decomposition", _small_df("truncation_bound", value=math.nan),
      ["estimate-logical", "{}"], "invalid-input"),
+    # a leaf one-norm whose square is past the float range (OverflowError
+    # before): lambda is infinite at weight 1, NaN at weight 0
+    *[("decomposition", _small_df("leaves", 0, value={
+        "index": 0, "weight": weight, "eigvals": [1e200],
+        "vecs": [[1.0, 0.0]]}), ["estimate-logical", "{}"], "invalid-input")
+      for weight in (1.0, 0.0)],
 ])
 def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
                                          category):
@@ -592,6 +614,41 @@ def test_t_count_past_float_range_reports_saturation(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert strict_json(captured.err)["error"] == "distance-saturation"
+
+
+def _split(logical, t_states):
+    return {"estimation": {"budget_split": {
+        "logical": logical, "t_states": t_states, "rotations": 0.005}}}
+
+
+@pytest.mark.parametrize("config, tcount, category, message", [
+    # p_gate at the threshold: a scale past the float range saturates
+    # before the threshold check, and a zero T count checks nothing
+    ({"qubit_presets": {"x": {"p_gate": 0.02}}}, "1e308",
+     "distance-saturation", "no distance"),
+    ({"qubit_presets": {"x": {"p_gate": 0.02}}}, "0", None, None),
+    ({"qubit_presets": {"x": {"p_gate": 0.02}}}, "1000000", "invalid-input",
+     "at or above threshold"),
+    (_split(0.0, 0.005), "1000000", "invalid-input", "eps_logical"),
+    (_split(0.005, 0.0), "1000000", "invalid-input", "per-T error budget"),
+    # a syndrome round of 0 fs leaves the factory no output period
+    ({"qubit_presets": {"x": {"t_gate": 1e-31, "t_meas": 1e-31}}}, "1000000",
+     "invalid-input", "duration must be positive"),
+], ids=["p-at-threshold-t-1e308", "p-at-threshold-t-0", "p-at-threshold",
+        "no-logical-share", "no-t-states-share", "zero-fs-round"])
+def test_estimate_physical_edge_categories(tmp_path, capsys, config, tcount,
+                                           category, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"qubit_presets": {"x": {}}, **config}))
+    code = main(["--config", str(path), "estimate-physical", "--qubits", "10",
+                 "--tcount", tcount, "--preset", "x"])
+    captured = capsys.readouterr()
+    if category is None:
+        assert code == 0 and strict_json(captured.out)["cycles"] == 0
+        return
+    assert code == 1 and captured.out == ""
+    err = strict_json(captured.err)
+    assert err["error"] == category and message in err["message"]
 
 
 @pytest.mark.parametrize("text, command", [

@@ -184,6 +184,12 @@ class TestFactorize:
             DFDecomposition(n_orb=2, core_energy=0.0, h_bar=np.zeros((2, 2)),
                             leaves=(leaf,), tol_first=0.0, tol_second=0.0)
 
+    def test_no_orbital_rejected(self):
+        # JSON "h_bar": [] fails the shape check; only Python builds this
+        with pytest.raises(ValidationError, match="n_orb must be positive"):
+            DFDecomposition(n_orb=0, core_energy=0.0, h_bar=np.zeros((0, 0)),
+                            leaves=(), tol_first=0.0, tol_second=0.0)
+
     def test_loads_errors_are_parse_errors(self):
         good = json.loads(factorize(make_set(2, 2, seed=3)).dumps())
         for text in ("{", "[]", json.dumps({"n_orb": 2}),

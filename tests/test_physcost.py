@@ -6,50 +6,48 @@ import pytest
 from dfqre import pipeline
 from dfqre.errors import (DistanceSaturationError, FactoryBudgetError,
                           ValidationError)
-from dfqre.logicalcost import EstimationConfig
-from dfqre.physcost import (CodeParams, QubitParams, count_factories,
-                            design_factories, estimate_physical, get_preset,
-                            layout_tiles, logical_error_rate, select_distance)
+from dfqre.logicalcost import BudgetSplit, EstimationConfig
+from dfqre.physcost import (CodeParams, QubitParams, _count_factories,
+                            _design_factories, _logical_error_rate,
+                            estimate_physical, get_preset)
 
 QP = get_preset("qubit_gate_ns_e4")
+CODE = CodeParams()
 EPS_LOGICAL = 0.01 / 3
+# a logical share of 0.5 for the distance tests below
+HALF_LOGICAL = EstimationConfig(error_budget=0.95,
+                                budget_split=BudgetSplit(0.5, 0.25, 0.2))
 
 
 class TestLogicalErrorRate:
     def test_d15_value(self):
-        assert logical_error_rate(15, 1e-4) == pytest.approx(3e-18, rel=1e-12)
+        assert _logical_error_rate(15, 1e-4, CODE) == \
+            pytest.approx(3e-18, rel=1e-12)
 
     def test_near_threshold_limit(self):
         delta = 1e-3
         p = 0.01 * (1 - delta)
-        rate = logical_error_rate(3, p)
+        rate = _logical_error_rate(3, p, CODE)
         assert rate == pytest.approx(0.03 * (1 - delta) ** 2, rel=1e-12)
 
     def test_strictly_decreasing_in_distance(self):
-        rates = [logical_error_rate(d, 1e-4) for d in range(3, 33, 2)]
+        rates = [_logical_error_rate(d, 1e-4, CODE) for d in range(3, 33, 2)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_rejects_above_threshold(self):
-        with pytest.raises(ValidationError):
-            logical_error_rate(9, 0.02)
-
-    def test_rejects_even_distance(self):
-        with pytest.raises(ValidationError):
-            logical_error_rate(10, 1e-4)
 
 
 class TestLayoutTiles:
     @pytest.mark.parametrize("n,expected", [(661, 1396), (4728, 9652), (1, 6)])
     def test_known_values(self, n, expected):
-        assert layout_tiles(n) == expected
+        assert estimate_physical(n, 0).tiles == expected
 
     def test_monotone(self):
-        values = [layout_tiles(n) for n in range(1, 2000)]
+        values = [estimate_physical(n, 0).tiles for n in range(1, 2000)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValidationError):
-            layout_tiles(0)
+    @pytest.mark.parametrize("t_count", [0, 10**6])
+    def test_rejects_zero(self, t_count):
+        with pytest.raises(ValidationError, match="n_alg_qubits"):
+            estimate_physical(0, t_count)
 
 
 class TestSelectDistance:
@@ -60,22 +58,23 @@ class TestSelectDistance:
         (2734, int(1.62e13), 17),
     ])
     def test_table_cases(self, n, cycles, expected):
-        assert select_distance(n, cycles, QP, eps_logical=EPS_LOGICAL) == expected
+        assert estimate_physical(n, cycles).distance == expected
 
     def test_tight_case_margin(self):
         # at d=17 the fragment-6 row misses the budget by a sliver
-        tiles = layout_tiles(2938)
-        failure_d17 = tiles * 1.87e13 * logical_error_rate(17, QP.p_gate)
+        tiles = estimate_physical(2938, 0).tiles
+        failure_d17 = tiles * 1.87e13 * _logical_error_rate(17, QP.p_gate,
+                                                            CODE)
         assert failure_d17 > EPS_LOGICAL
         assert failure_d17 == pytest.approx(3.38e-3, rel=0.01)
 
     def test_monotone_in_cycles(self):
-        distances = [select_distance(1000, c, QP, eps_logical=EPS_LOGICAL)
+        distances = [estimate_physical(1000, c).distance
                      for c in (10**8, 10**10, 10**12, 10**14, 10**16)]
         assert all(a <= b for a, b in zip(distances, distances[1:]))
 
     def test_monotone_in_qubits(self):
-        distances = [select_distance(n, 10**12, QP, eps_logical=EPS_LOGICAL)
+        distances = [estimate_physical(n, 10**12).distance
                      for n in (10, 100, 1000, 10000, 100000)]
         assert all(a <= b for a, b in zip(distances, distances[1:]))
 
@@ -84,59 +83,62 @@ class TestSelectDistance:
         qp_noisy = type(qp_noisy)(name="noisy", t_gate=qp_noisy.t_gate,
                                   t_meas=qp_noisy.t_meas, p_gate=9.99e-3,
                                   p_meas=9.99e-3)
+        tiny = EstimationConfig(
+            budget_split=BudgetSplit(1e-10, 0.005, 0.005 - 1e-10))
         with pytest.raises(DistanceSaturationError):
-            select_distance(10**6, 10**30, qp_noisy, eps_logical=1e-10)
+            estimate_physical(10**6, 10**30, qp_noisy, config=tiny)
 
     def test_scale_past_float_range_saturates(self):
         # tiles * cycles past the float range saturates instead of raising
         # OverflowError, even for noiseless qubits, where a smaller scale
         # gets d_min
         noiseless = type(QP)(name="noiseless", p_gate=0.0)
-        assert select_distance(10, 10**306, noiseless, eps_logical=0.5) == 3
+        assert estimate_physical(10, 10**306, noiseless,
+                                 config=HALF_LOGICAL).distance == 3
         for qp in (QP, noiseless):
             with pytest.raises(DistanceSaturationError):
-                select_distance(10, 10**308, qp, eps_logical=0.5)
+                estimate_physical(10, 10**308, qp, config=HALF_LOGICAL)
 
     def test_rejects_p_gate_at_threshold(self):
         noisy = QubitParams("noisy", 50e-9, 100e-9, 0.02, 0.02)
         with pytest.raises(ValidationError, match="at or above threshold"):
-            select_distance(10, 10**6, noisy, eps_logical=0.5)
+            estimate_physical(10, 10**6, noisy, config=HALF_LOGICAL)
 
     def test_empty_search_saturates_unchecked(self):
         # no odd distance in [101, 99]: nothing is tried, so nothing checks p
         noisy = QubitParams("noisy", 50e-9, 100e-9, 0.02, 0.02)
         with pytest.raises(DistanceSaturationError):
-            select_distance(10, 10**6, noisy, CodeParams(d_min=101),
-                            eps_logical=0.5)
+            estimate_physical(10, 10**6, noisy, CodeParams(d_min=101),
+                              HALF_LOGICAL)
 
 
 class TestDesignFactories:
     def test_fragment8_scale_two_rounds(self):
         budget = EPS_LOGICAL / 4.00e10
-        design = design_factories(QP, budget)
+        design = _design_factories(QP, budget, CODE)
         assert design.rounds == 2
         assert 12_000 <= design.qubits_per_factory <= 20_000
         assert design.output_error <= budget
 
     def test_round_boundary_budget(self):
-        design = design_factories(QP, 1e-10)
+        design = _design_factories(QP, 1e-10, CODE)
         assert design.rounds == 1
         assert design.output_error == pytest.approx(3.5e-11, rel=1e-12)
 
     def test_first_round_sufficiency_rule(self):
         p = QP.p_gate
-        assert design_factories(QP, 35.0 * p**3).rounds == 1
+        assert _design_factories(QP, 35.0 * p**3, CODE).rounds == 1
 
     def test_output_error_decreases_with_rounds(self):
-        one = design_factories(QP, 1e-10)
-        two = design_factories(QP, 1e-15)
-        three = design_factories(QP, 1e-40)
+        one = _design_factories(QP, 1e-10, CODE)
+        two = _design_factories(QP, 1e-15, CODE)
+        three = _design_factories(QP, 1e-40, CODE)
         assert one.rounds == 1 and two.rounds == 2 and three.rounds == 3
         assert one.output_error > two.output_error > three.output_error
 
     def test_unreachable_budget(self):
         with pytest.raises(FactoryBudgetError):
-            design_factories(QP, 1e-95)
+            _design_factories(QP, 1e-95, CODE)
 
     def test_no_stage_distance_suppresses_clifford_error(self):
         # one round reaches 1e-4, but no d <= 99 sizes its stage; twice, so
@@ -145,17 +147,18 @@ class TestDesignFactories:
         for _ in range(2):
             with pytest.raises(FactoryBudgetError,
                                match="no stage distance suppresses"):
-                design_factories(near, 1e-4)
+                _design_factories(near, 1e-4, CODE)
 
     def test_unreachable_budget_raised_first(self):
         near = QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3)
         with pytest.raises(FactoryBudgetError, match="unreachable"):
-            design_factories(near, 1e-95)
+            _design_factories(near, 1e-95, CODE)
 
     def test_design_shared_across_budgets(self):
         # same rounds, same (qp, code): one cached design
-        assert design_factories(QP, 1e-10) is design_factories(QP, 2e-10)
-        assert design_factories(QP, 1e-10) is not design_factories(QP, 1e-15)
+        one, same, two = (_design_factories(QP, budget, CODE)
+                          for budget in (1e-10, 2e-10, 1e-15))
+        assert one is same and one is not two
 
     def test_negative_zero_error_rate_is_zero(self):
         # -0.0 is stored as 0.0: it shares 0.0's cached design, and no
@@ -164,38 +167,39 @@ class TestDesignFactories:
                           for p in (0.0, -0.0))
         assert math.copysign(1.0, negative.p_gate) == 1.0
         assert math.copysign(1.0, negative.p_meas) == 1.0
-        assert design_factories(negative, 1e-4) is design_factories(zero, 1e-4)
+        assert _design_factories(negative, 1e-4, CODE) \
+            is _design_factories(zero, 1e-4, CODE)
         text = estimate_physical(10, 10**6, negative).dumps()
         assert '"output_error": 0.0' in text and "-0.0" not in text
 
     def test_stage_distances_grow_with_round(self):
-        design = design_factories(QP, 1e-15)
+        design = _design_factories(QP, 1e-15, CODE)
         assert list(design.stage_distances) == \
             sorted(design.stage_distances)
 
 
 class TestCountFactories:
     def test_fragment8_fifteen(self):
-        design = design_factories(QP, EPS_LOGICAL / 4.00e10)
+        design = _design_factories(QP, EPS_LOGICAL / 4.00e10, CODE)
         # output period spans 14.4 cycles at distance 15
         ratio = design.duration_fs * 1e-15 / (QP.syndrome_round_time * 15)
         assert ratio == pytest.approx(14.4, rel=1e-9)
-        assert count_factories(15, QP, design) == 15
+        assert _count_factories(15, QP, design) == 15
 
     def test_short_duration_single_factory(self):
-        design = design_factories(QP, 1e-10)
+        design = _design_factories(QP, 1e-10, CODE)
         tiny = type(design)(rounds=design.rounds,
                             stage_distances=design.stage_distances,
                             qubits_per_factory=design.qubits_per_factory,
                             duration_fs=10**6, output_error=design.output_error)
-        assert count_factories(15, QP, tiny) == 1
+        assert _count_factories(15, QP, tiny) == 1
 
     def test_exact_integer_boundary(self):
         # 14.4 * 15 / 27 == 8 exactly; ceiling must not round it to 9
-        design = design_factories(QP, 1e-15)
+        design = _design_factories(QP, 1e-15, CODE)
         assert design.stage_distances[-1] == 15
-        assert count_factories(27, QP, design) == 8
-        assert count_factories(15, QP, design) == 15
+        assert _count_factories(27, QP, design) == 8
+        assert _count_factories(15, QP, design) == 15
 
 
 class TestEstimatePhysical:
