@@ -18,13 +18,16 @@ parameters, define qubit presets, and adjust code constants::
       "code": {"a_coeff": 0.03, "p_threshold": 0.01, "d_min": 3}
     }
 
-A config file that is not JSON is a ``parse`` error. An unknown or
-missing key, a value of the wrong JSON type or a non-object section is
-``invalid-input``, named by its dotted path (``cfg.json.code.d_min``); a
-preset takes its name from its key, so a ``name`` key is unknown. The same
-faults in a decomposition, logical or ledger file are ``parse`` errors, as
-are non-UTF-8 bytes in any input file. A ledger pair that is not two known
-labels, a repeated pair or a non-finite energy is ``invalid-input``.
+A non-finite or out-of-range input is refused where it enters, as
+``invalid-input`` or ``parse``; a result that JSON cannot hold is
+``numerical``, from ``codec.dumps``, which writes every document. A config
+that is not JSON is ``parse``; an unknown or missing key, a value of the
+wrong JSON type or a non-object section is ``invalid-input``, named by its
+dotted path (``cfg.json.code.d_min``); a preset takes its name from its
+key, so a ``name`` key is unknown. The same faults in a decomposition,
+logical or ledger file are ``parse`` errors, as are non-UTF-8 bytes in any
+input file. A ledger pair that is not two known labels, a repeated pair or
+a non-finite energy is ``invalid-input``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -161,10 +163,6 @@ def _cmd_parse_xyz(args):
 
 def _cmd_factorize(args):
     integrals = ingest.parse_integrals(codec.read_text(args.integrals))
-    for flag, value in [("--eps", args.eps), ("--tol-first", args.tol_first),
-                        ("--tol-second", args.tol_second)]:
-        if value is not None and math.isinf(value):  # not a JSON number
-            raise ValidationError(f"{flag} must be finite")
     if args.eps is not None and (args.tol_first is not None
                                  or args.tol_second is not None):
         raise ValidationError("--eps excludes --tol-first/--tol-second")
@@ -230,7 +228,7 @@ def _cmd_reproduce_table(args):
               f"{r.model_distance} dq={r.physical_rel_err:.3%} "
               f"dt={r.runtime_rel_err:.3%} "
               f"df={r.factory_diff:+d} {status}")
-    print(json.dumps(comparison.summary()))
+    print(codec.dumps(comparison.summary(), indent=None))
 
 
 def _cmd_fit_scaling(args):
@@ -239,20 +237,22 @@ def _cmd_fit_scaling(args):
             args.csv).splitlines() if not line.startswith("#"))
         points = [(float(rec["n_orb"]), float(rec["t_count"])) for rec in reader]
     exponent = pipeline.fit_scaling(points)
-    print(json.dumps({"points": len(points), "exponent": exponent}))
+    print(codec.dumps({"points": len(points), "exponent": exponent},
+                      indent=None))
 
 
 def _cmd_fmo_assemble(args):
     ledger = codec.loads(pipeline.FragmentEnergyLedger,
                          codec.read_text(args.ledger), args.ledger)
     total = pipeline.fmo_assemble(ledger)
-    print(json.dumps({"total_energy_hartree": total}))
+    print(codec.dumps({"total_energy_hartree": total}, indent=None))
 
 
 def _cmd_binding_affinity(args):
     hartree, kj = pipeline.binding_affinity(args.e_complex, args.e_apo,
                                             args.e_ion)
-    print(json.dumps({"delta_e_hartree": hartree, "delta_e_kj_per_mol": kj}))
+    print(codec.dumps({"delta_e_hartree": hartree, "delta_e_kj_per_mol": kj},
+                      indent=None))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ tuple[X, ...], dict[str, X], X | None, nested dataclasses) and names the
 dotted field (a dict value by its key) of an unknown or missing key or a
 mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``.
 
-``dumps`` indents by one space; ``DFDecomposition.dumps`` writes one line.
+``dumps``, the package's one JSON writer, indents by one space or, with
+``indent=None``, writes one line. A NaN or infinity is no JSON number, so it
+raises NumericalError: inputs are refused where they enter, and only a
+result past the float range gets here.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import typing
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NumericalError, ParseError
 
 
 @functools.cache
@@ -53,8 +56,12 @@ def encode(value):
     return data
 
 
-def dumps(obj) -> str:
-    return json.dumps(encode(obj), indent=1)
+def dumps(obj, indent: int | None = 1) -> str:
+    data = encode(obj)
+    try:
+        return json.dumps(data, indent=indent, allow_nan=False)
+    except ValueError:
+        raise NumericalError("non-finite result, not a JSON number") from None
 
 
 def decode(cls, data, where: str, error=ParseError):

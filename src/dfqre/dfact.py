@@ -14,7 +14,6 @@ stage-2 eigendecomposition of leaf r.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -100,10 +99,10 @@ class DFDecomposition:
             for leaf in self.leaves))
         if not (np.isfinite(h_bar).all() and math.isfinite(self.core_energy)):
             raise ValidationError("h_bar and core_energy must be finite")
-        if not (self.tol_first >= 0 and self.tol_second >= 0
-                and self.truncation_bound >= 0):  # nan fails too
-            raise ValidationError(
-                "tolerances and truncation_bound must be non-negative")
+        if not all(0 <= value < math.inf for value in (  # nan fails too
+                self.tol_first, self.tol_second, self.truncation_bound)):
+            raise ValidationError("tolerances and truncation_bound must be "
+                                  "non-negative and finite")
         if np.abs(h_bar - h_bar.T).max(initial=0.0) > 1e-12:
             raise ValidationError("h_bar is not symmetric within 1e-12")
         if len(self.leaves) > self.n_orb * (self.n_orb + 1) // 2:
@@ -128,16 +127,8 @@ class DFDecomposition:
 
     def dumps(self) -> str:
         # one line: json indents only in its pure-Python encoder, and this
-        # document holds every leaf vector. JSON has no infinity, and only
-        # the scalars checked for sign alone can hold one.
-        try:
-            return json.dumps(codec.encode(self), allow_nan=False)
-        except ValueError:
-            names = [name for name in ("tol_first", "tol_second",
-                                       "truncation_bound")
-                     if not math.isfinite(getattr(self, name))]
-            raise ValidationError(
-                f"{', '.join(names)} not finite; JSON cannot hold it") from None
+        # document holds every leaf vector
+        return codec.dumps(self, indent=None)
 
     @classmethod
     def loads(cls, text: str) -> "DFDecomposition":
@@ -179,14 +170,15 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     analogous per-leaf ``tol_second`` rule. ``eps_target`` sets both
     tolerances instead, by ``choose_tolerances`` on the spectrum truncated
     here. Output ordering (leaves by |weight| descending, eigenvectors with
-    leading component positive) makes the result deterministic.
+    leading component positive) makes the result deterministic. A negative,
+    NaN or infinite tolerance or target raises ValidationError.
     """
     if eps_target is not None:
         if tol_first or tol_second:
             raise ValidationError("eps_target excludes tol_first/tol_second")
         _check_eps_target(eps_target)
-    elif not (tol_first >= 0 and tol_second >= 0):
-        raise ValidationError("tolerances must be non-negative")
+    elif not (0 <= tol_first < math.inf and 0 <= tol_second < math.inf):
+        raise ValidationError("tolerances must be non-negative and finite")
     n = integrals.n_orb
     iu, ju, w = _pair_indices(n)
 
@@ -293,5 +285,6 @@ def choose_tolerances(weights: np.ndarray, eps_target: float
 
 
 def _check_eps_target(eps_target: float) -> None:
-    if not eps_target > 0:
-        raise ValidationError("eps_target must be positive")
+    if not 0 < eps_target < math.inf:
+        raise ValidationError("eps_target must be "
+                              + ("finite" if eps_target > 0 else "positive"))

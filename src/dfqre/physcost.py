@@ -39,9 +39,9 @@ MAX_DISTILL_ROUNDS = 3
 
 @dataclass(frozen=True)
 class QubitParams:
-    """Gate and measurement times in seconds, and error probabilities in
-    [0, 1). A zero probability is stored as 0.0, so -0.0 never reaches an
-    error rate such as a factory's ``output_error``."""
+    """Gate and measurement times in seconds (a syndrome round of 1 fs or
+    more), and error probabilities in [0, 1). A zero probability is stored
+    as 0.0, so -0.0 never reaches an error rate such as ``output_error``."""
 
     name: str = field(default="qubit_gate_ns_e4", metadata={"json": None})
     t_gate: float = 50e-9
@@ -51,9 +51,9 @@ class QubitParams:
 
     def __post_init__(self):
         if not (self.t_gate > 0 and self.t_meas > 0
-                and math.isfinite(self.syndrome_round_time * 1e15)):
-            raise ValidationError("gate and measurement times must be positive"
-                                  " and finite in femtoseconds")
+                and 1 <= self.syndrome_round_time * 1e15 < math.inf):
+            raise ValidationError("t_gate and t_meas must be positive, their "
+                                  "syndrome round finite and at least 1 fs")
         for name in ("p_gate", "p_meas"):
             p = getattr(self, name)
             if not 0 <= p < 1:
@@ -253,7 +253,7 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
     # share: every tile is taken as active on every cycle
     eps_logical = config.budget_split.logical
     if not 0 < eps_logical < 1:
-        raise ValidationError("eps_logical must lie in (0, 1)")
+        raise ValidationError("budget_split.logical must lie in (0, 1)")
     d = _min_distance(tiles * t_count, eps_logical, qp, code)
     if d is None:
         raise DistanceSaturationError(

@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 
 from .codec import read_text, reading
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .logicalcost import EstimationConfig
 from .physcost import CodeParams, QubitParams, estimate_physical
 
@@ -211,27 +211,24 @@ def fmo_assemble(ledger: FragmentEnergyLedger) -> float:
     """Two-body fragment energy: sum of monomers plus pair corrections.
 
     E = sum_I E_I + sum_{I<J} (E_IJ - E_I - E_J) over the dimers present;
-    absent pairs contribute no correction.
+    absent pairs contribute no correction. Past the float range the total
+    is the IEEE inf or NaN, which the JSON writer refuses.
     """
     total = sum(ledger.monomers.values(), 0.0)
     for dimer in ledger.dimers:
         a, b = dimer.pair
         total += dimer.energy - ledger.monomers[a] - ledger.monomers[b]
-    if not math.isfinite(total):
-        raise NumericalError(f"total energy {total} is not a finite number")
     return total
 
 
 def binding_affinity(e_complex: float, e_apo: float, e_ion: float
                      ) -> tuple[float, float]:
-    """Binding energy of the metal-bound complex, in (Hartree, kJ/mol)."""
+    """Binding energy of the metal-bound complex, in (Hartree, kJ/mol); past
+    the float range, the IEEE inf, which the JSON writer refuses."""
     for value in (e_complex, e_apo, e_ion):
         if not math.isfinite(value):
             raise ValidationError("energies must be finite")
     delta = e_complex - e_apo - e_ion
-    if not math.isfinite(delta * HARTREE_TO_KJ_PER_MOL):  # so is delta then
-        raise NumericalError(f"binding energy {delta} Hartree is past the "
-                             "float range in kJ/mol")
     return delta, delta * HARTREE_TO_KJ_PER_MOL
 
 

@@ -313,10 +313,10 @@ def test_factorize_eps_runs_one_pair_eigendecomposition(
      "--eps excludes --tol-first/--tol-second"),
     (["--eps=1e-3", "--tol-second=1e-4"],
      "--eps excludes --tol-first/--tol-second"),
-    # an infinite tolerance would be written as Infinity, which is not JSON
-    (["--eps=inf"], "--eps must be finite"),
-    (["--tol-first=inf"], "--tol-first must be finite"),
-    (["--tol-second=inf"], "--tol-second must be finite"),
+    # refused where they enter factorize, before any eigh
+    (["--eps=inf"], "eps_target must be finite"),
+    (["--tol-first=inf"], "tolerances must be non-negative and finite"),
+    (["--tol-second=inf"], "tolerances must be non-negative and finite"),
 ])
 def test_factorize_bad_eps_reports_invalid_input(integral_file, capsys,
                                                  flags, message):
@@ -550,6 +550,9 @@ PHYSICAL_X = ["--config", "{}", "estimate-physical", "--qubits", "100",
      ["estimate-logical", "{}"], "invalid-input"),
     ("decomposition", _small_df("truncation_bound", value=math.nan),
      ["estimate-logical", "{}"], "invalid-input"),
+    # read as inf: a value the decomposition could never write back
+    ("decomposition", _small_df("tol_first", value=math.inf),
+     ["estimate-logical", "{}"], "invalid-input"),
     # a leaf one-norm whose square is past the float range (OverflowError
     # before): lambda is infinite at weight 1, NaN at weight 0
     *[("decomposition", _small_df("leaves", 0, value={
@@ -629,13 +632,16 @@ def _split(logical, t_states):
     ({"qubit_presets": {"x": {"p_gate": 0.02}}}, "0", None, None),
     ({"qubit_presets": {"x": {"p_gate": 0.02}}}, "1000000", "invalid-input",
      "at or above threshold"),
-    (_split(0.0, 0.005), "1000000", "invalid-input", "eps_logical"),
+    (_split(0.0, 0.005), "1000000", "invalid-input", "budget_split.logical"),
     (_split(0.005, 0.0), "1000000", "invalid-input", "per-T error budget"),
-    # a syndrome round of 0 fs leaves the factory no output period
-    ({"qubit_presets": {"x": {"t_gate": 1e-31, "t_meas": 1e-31}}}, "1000000",
-     "invalid-input", "duration must be positive"),
+    # a syndrome round of 0 fs is refused with the preset, whatever the
+    # T count, naming the two times
+    *[({"qubit_presets": {"x": {"t_gate": 1e-31, "t_meas": 1e-31}}}, tcount,
+       "invalid-input", "t_gate and t_meas must be positive")
+      for tcount in ("1000000", "0")],
 ], ids=["p-at-threshold-t-1e308", "p-at-threshold-t-0", "p-at-threshold",
-        "no-logical-share", "no-t-states-share", "zero-fs-round"])
+        "no-logical-share", "no-t-states-share", "zero-fs-round",
+        "zero-fs-round-t-0"])
 def test_estimate_physical_edge_categories(tmp_path, capsys, config, tcount,
                                            category, message):
     path = tmp_path / "cfg.json"

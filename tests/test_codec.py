@@ -1,11 +1,15 @@
-"""Properties of the JSON codec: the one-line decomposition survives a round
-trip byte for byte, it and an indented one load to the factorized arrays,
-shapes included, and a value of the wrong JSON type in any field of a
-logical estimate or a config section exits 1 with its documented
-category."""
+"""Properties of the JSON codec: its one writer refuses NaN and infinity
+wherever they sit and otherwise writes json's own bytes, the one-line
+decomposition survives a round trip byte for byte, it and an indented one
+load to the factorized arrays, shapes included, and a value of the wrong
+JSON type in any field of a logical estimate or a config section exits 1
+with its documented category."""
 
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,9 +17,39 @@ from hypothesis import strategies as st
 from dfqre import codec
 from dfqre.cli import main
 from dfqre.dfact import DFDecomposition, factorize, reconstruct
-from dfqre.errors import ParseError
+from dfqre.errors import NumericalError, ParseError
 from dfqre.ingest import SyntheticSpec, gen_synthetic
-from dfqre.physcost import QubitParams
+from dfqre.physcost import QubitParams, estimate_physical
+
+@dataclasses.dataclass(frozen=True)
+class _Table:
+    values: np.ndarray
+
+
+@pytest.mark.parametrize("indent", [1, None])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("place", [
+    lambda x: x,
+    lambda x: {"a": {"b": x}},
+    lambda x: [1.0, x],
+    lambda x: _Table(np.array([[0.5, x]])),
+], ids=["top-level", "nested-dict", "list", "ndarray-field"])
+def test_writer_refuses_non_finite(place, bad, indent):
+    with pytest.raises(NumericalError):
+        codec.dumps(place(bad), indent=indent)
+
+
+@pytest.mark.parametrize("doc", [
+    factorize(gen_synthetic(SyntheticSpec(n_orb=3, rank=4, seed=2))),
+    estimate_physical(4728, 117 * 10**12),
+    {"rows": 47, "exponent": -0.0, "points": [1e-300, 2.5]},
+    _Table(np.arange(6.0).reshape(2, 3)),
+], ids=["decomposition", "physical", "dict", "ndarray-field"])
+def test_writer_bytes_are_jsons(doc):
+    assert codec.dumps(doc) == json.dumps(codec.encode(doc), indent=1)
+    assert codec.dumps(doc, indent=None) == json.dumps(codec.encode(doc))
+
 
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
            "qpe_steps": 10**6, "lambda": 5.0,

@@ -283,19 +283,16 @@ class TestChooseTolerances:
         assert df.n_leaves == 3
         assert np.abs(reconstruct(df) - ints.h2).max() <= 1e-10
 
-    def test_infinite_target(self):
+    def test_infinite_target_or_tolerance_rejected(self):
+        # an infinite tolerance is refused where it enters, so every
+        # decomposition can be written as JSON
         ints = make_set(3, 2, seed=1)
-        tols = choose_tolerances(stage1_weights(ints), float("inf"))
-        assert tols == (float("inf"), float("inf"))
-        df = factorize(ints, eps_target=float("inf"))
-        assert (df.tol_first, df.tol_second) == tols
-
-    def test_infinite_target_not_written_as_json(self):
-        # json would write the bare token Infinity, which is not JSON
-        ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=3, seed=1))
-        df = factorize(ints, eps_target=float("inf"))
-        with pytest.raises(ValidationError, match="tol_first, tol_second"):
-            df.dumps()
+        inf = float("inf")
+        for call in (lambda: factorize(ints, eps_target=inf),
+                     lambda: factorize(ints, tol_first=inf),
+                     lambda: choose_tolerances(stage1_weights(ints), inf)):
+            with pytest.raises(ValidationError, match="finite"):
+                call()
 
     def test_monotone_in_eps(self):
         weights = stage1_weights(make_set(4, 8, seed=14))
