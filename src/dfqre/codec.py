@@ -10,8 +10,9 @@ mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``.
 
 ``dumps``, the package's one JSON writer, indents by one space or, with
 ``indent=None``, writes one line. A NaN or infinity is no JSON number, so it
-raises NumericalError: inputs are refused where they enter, and only a
-result past the float range gets here.
+raises NumericalError naming the first one's dotted path, a list item as
+``[i]`` (``rows[3].runtime_s``): inputs are refused where they enter,
+and only a result past the float range gets here.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import reprlib
 import typing
 
@@ -60,8 +62,29 @@ def dumps(obj, indent: int | None = 1) -> str:
     data = encode(obj)
     try:
         return json.dumps(data, indent=indent, allow_nan=False)
-    except ValueError:
-        raise NumericalError("non-finite result, not a JSON number") from None
+    except ValueError:  # only json's refusal of a NaN or infinity
+        path, value = _non_finite(data, "")
+        raise NumericalError(f"non-finite result {path or 'value'} = "
+                             f"{value!r}, not a JSON number") from None
+
+
+def _non_finite(data, path: str):
+    """(dotted path, value) of the first NaN or infinity in the encoded
+    ``data``, in the order json writes it, or None."""
+    if isinstance(data, float):
+        return None if math.isfinite(data) else (path, data)
+    if isinstance(data, dict):
+        items = ((f"{path}.{key}" if path else str(key), item)
+                 for key, item in data.items())
+    elif isinstance(data, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(data))
+    else:
+        return None
+    for where, item in items:
+        found = _non_finite(item, where)
+        if found:
+            return found
+    return None
 
 
 def decode(cls, data, where: str, error=ParseError):

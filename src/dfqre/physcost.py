@@ -6,9 +6,12 @@ T state, so the cycle count equals the T count. Constants here (error
 prefactor, tile layout, factory footprint and period) were calibrated
 once against published fragment estimates for the superconducting
 "qubit_gate_ns_e4" parameter set and are documented design choices of
-this artifact. A factory design depends on the qubits, the code and the
-round count alone, so ``_design_factories`` keeps one per key in a
-fixed-size cache; a budget sweep builds each design once.
+this artifact. Everything that depends on the qubits and the code alone
+(each odd distance's logical error rate, the distillation chain, the
+syndrome round, each factory design once built) is resolved once per
+(qubits, code) pair and cached; ``estimate_physical`` and
+``pipeline.reproduce_table`` price rows against it through one routine,
+``_price``, so a budget sweep or a whole table takes no power per row.
 """
 
 from __future__ import annotations
@@ -103,21 +106,42 @@ def _logical_error_rate(d: int, p: float, code: CodeParams) -> float:
     return code.a_coeff * (p / code.p_threshold) ** ((d + 1) / 2)
 
 
-def _min_distance(scale: float, limit: float, qp: QubitParams,
-                  code: CodeParams) -> int | None:
+class _Model:
+    """A (qubits, code) pair, defaults for None, resolved once: ``ladder``
+    maps each odd d from d_min to p_L(d) (empty at or above threshold, which
+    ``_min_distance`` raises), ``chain`` holds the error after 0..3 rounds,
+    ``designs`` the factory designs built so far by round count, and the
+    syndrome round is kept under ``QubitParams``' names. Never raises."""
+
+    def __init__(self, qp: QubitParams | None, code: CodeParams | None):
+        self.qp = qp = qp or get_preset("qubit_gate_ns_e4")
+        self.code = code = code or CodeParams()
+        self.syndrome_round_time = qp.syndrome_round_time
+        self.syndrome_round_fs = qp.syndrome_round_fs
+        distances = range(code.d_min, MAX_DISTANCE + 1, 2)
+        self.above_threshold = bool(distances) and not (
+            qp.p_gate < code.p_threshold)
+        self.ladder = {} if self.above_threshold else {
+            d: _logical_error_rate(d, qp.p_gate, code) for d in distances}
+        self.designs, self.chain = {}, [qp.p_gate]
+        for _ in range(MAX_DISTILL_ROUNDS):
+            self.chain.append(DISTILL_REDUCTION * self.chain[-1] ** 3)
+
+
+_model = functools.lru_cache(maxsize=64)(_Model)
+
+
+def _min_distance(scale: float, limit: float, model: _Model) -> int | None:
     """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit;
     None for an int scale past the float range, whose product with any
-    normal float p_L(d) exceeds 1 (and whose conversion would overflow).
-    p_L(d) is ``_logical_error_rate``'s expression, bit for bit."""
+    normal float p_L(d) exceeds 1 (and whose conversion would overflow)."""
     if scale > sys.float_info.max:
         return None
-    distances = range(code.d_min, MAX_DISTANCE + 1, 2)
-    if distances and not qp.p_gate < code.p_threshold:
-        raise ValidationError(f"physical error rate {qp.p_gate} at or above "
-                              f"threshold {code.p_threshold}")
-    ratio = qp.p_gate / code.p_threshold
-    for d in distances:
-        if scale * (code.a_coeff * ratio ** ((d + 1) / 2)) <= limit:
+    if model.above_threshold:
+        raise ValidationError(f"physical error rate {model.qp.p_gate} at or "
+                              f"above threshold {model.code.p_threshold}")
+    for d, rate in model.ladder.items():
+        if scale * rate <= limit:
             return d
     return None
 
@@ -146,6 +170,11 @@ class FactoryDesign:
 
 def _design_factories(qp: QubitParams, per_t_error_budget: float,
                       code: CodeParams) -> FactoryDesign:
+    """``_factory`` on the model of (qp, code)."""
+    return _factory(_model(qp, code), per_t_error_budget)
+
+
+def _factory(model: _Model, per_t_error_budget: float) -> FactoryDesign:
     """Search 15-to-1 rounds for the smallest design meeting the budget.
 
     Round k takes the previous round's output as input; acceptance
@@ -154,50 +183,36 @@ def _design_factories(qp: QubitParams, per_t_error_budget: float,
     error, which fixes the footprint independently of how far below
     35 p^3 chains the budget sits.
 
-    The budget check and the round choice run on every call; the design
-    for the chosen rounds depends only on (qp, code, rounds) and comes
-    from a fixed-size cache. Errors are raised on every call, never cached.
+    The round choice runs on every call; the frozen design for the chosen
+    rounds is built once per model. Errors are raised on every call.
     """
-    if not 0 < per_t_error_budget < 1:
-        raise ValidationError("per-T error budget must lie in (0, 1)")
-    chain = _distillation_chain(qp.p_gate)
-    rounds = next((k for k in range(1, MAX_DISTILL_ROUNDS + 1)
-                   if chain[k] <= per_t_error_budget), None)
-    if rounds is None:
+    chain = model.chain
+    for rounds in range(1, MAX_DISTILL_ROUNDS + 1):
+        if chain[rounds] <= per_t_error_budget:
+            break
+    else:
         raise FactoryBudgetError(
             f"budget {per_t_error_budget:g} unreachable in "
             f"{MAX_DISTILL_ROUNDS} rounds of 15-to-1 distillation")
-    return _design(qp, code, rounds)
-
-
-def _distillation_chain(p: float) -> list[float]:
-    """[p, 35 p^3, 35 (35 p^3)^3, ...]: the error after 0..3 rounds."""
-    chain = [p]
-    for _ in range(MAX_DISTILL_ROUNDS):
-        chain.append(DISTILL_REDUCTION * chain[-1] ** 3)
-    return chain
-
-
-@functools.lru_cache(maxsize=256)
-def _design(qp: QubitParams, code: CodeParams, rounds: int) -> FactoryDesign:
-    """The ``rounds``-round design; ``FactoryDesign`` is frozen, so one
-    instance serves every call with the same key."""
-    chain = _distillation_chain(qp.p_gate)
+    if rounds in model.designs:
+        return model.designs[rounds]
     distances = tuple(_min_distance(FACTORY_CLIFFORD_LOCATIONS, chain[k] / 2.0,
-                                    qp, code) for k in range(rounds))
+                                    model) for k in range(rounds))
     if None in distances:
         raise FactoryBudgetError(
             "no stage distance suppresses Clifford error enough")
     d_last = distances[-1]
-    qubits = FACTORY_TILES * 2 * d_last * d_last
-    duration_fs = int(FACTORY_CYCLES_PER_OUTPUT * d_last
-                      * qp.syndrome_round_fs)
-    return FactoryDesign(rounds=rounds, stage_distances=distances,
-                         qubits_per_factory=qubits, duration_fs=duration_fs,
-                         output_error=chain[rounds])
+    model.designs[rounds] = FactoryDesign(
+        rounds=rounds, stage_distances=distances,
+        qubits_per_factory=FACTORY_TILES * 2 * d_last * d_last,
+        duration_fs=int(FACTORY_CYCLES_PER_OUTPUT * d_last
+                        * model.syndrome_round_fs),
+        output_error=chain[rounds])
+    return model.designs[rounds]
 
 
-def _count_factories(d: int, qp: QubitParams, fd: FactoryDesign) -> int:
+def _count_factories(d: int, qp: QubitParams | _Model,
+                     fd: FactoryDesign) -> int:
     """Parallel factories sustaining one T state per logical cycle:
     ceil(duration / t_cycle(d))."""
     return -(-fd.duration_fs // (d * qp.syndrome_round_fs))
@@ -224,15 +239,20 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
                       code: CodeParams | None = None,
                       config: EstimationConfig | None = None
                       ) -> PhysicalEstimate:
-    """Map (logical qubits, T count) to physical resources.
+    """Map (logical qubits, T count) to physical resources (``_price``)."""
+    return PhysicalEstimate(*_price(
+        _model(qp, code), config or EstimationConfig(), n_alg_qubits, t_count))
+
+
+def _price(model: _Model, config: EstimationConfig, n_alg_qubits: int,
+           t_count: int) -> tuple:
+    """``estimate_physical``'s checks, in order, and its fields, in
+    ``PhysicalEstimate``'s order; ``reproduce_table`` prices rows here too.
 
     Logical depth is taken equal to the T count (one T consumed per
     lattice-surgery cycle); the error budget splits across logical
     storage, distillation and rotation synthesis per the config.
     """
-    qp = qp or get_preset("qubit_gate_ns_e4")
-    code = code or CodeParams()
-    config = config or EstimationConfig()
     if n_alg_qubits < 1:
         raise ValidationError("n_alg_qubits must be positive")
     if t_count < 0:
@@ -243,33 +263,29 @@ def estimate_physical(n_alg_qubits: int, t_count: int,
     # where ceil(sqrt(m)) = isqrt(m - 1) + 1 for m >= 1
     tiles = 2 * n_alg_qubits + math.isqrt(8 * n_alg_qubits - 1) + 2
     if t_count == 0:
-        return PhysicalEstimate(
-            distance=code.d_min, tiles=tiles, n_factories=0,
-            factory_qubits_total=0,
-            n_physical_qubits=tiles * 2 * code.d_min**2,
-            runtime_s=0.0, cycles=0)
+        d = model.code.d_min
+        return d, tiles, 0, 0, tiles * 2 * d**2, 0.0, 0, None, 0.0
 
     # the smallest odd d with tiles * cycles * p_L(d) within the logical
     # share: every tile is taken as active on every cycle
     eps_logical = config.budget_split.logical
     if not 0 < eps_logical < 1:
         raise ValidationError("budget_split.logical must lie in (0, 1)")
-    d = _min_distance(tiles * t_count, eps_logical, qp, code)
+    d = _min_distance(tiles * t_count, eps_logical, model)
     if d is None:
         raise DistanceSaturationError(
             f"no distance <= {MAX_DISTANCE} meets logical budget {eps_logical:g}")
-    fd = _design_factories(qp, config.budget_split.t_states / t_count, code)
-    n_factories = _count_factories(d, qp, fd)
+    per_t = config.budget_split.t_states / t_count
+    if not 0 < per_t < 1:
+        raise ValidationError("budget_split.t_states per T state must lie "
+                              f"in (0, 1), got {per_t:g}")
+    fd = _factory(model, per_t)
+    n_factories = _count_factories(d, model, fd)
     factory_total = n_factories * fd.qubits_per_factory
-    n_physical = tiles * 2 * d * d + factory_total
-    runtime = t_count * (qp.syndrome_round_time * d)
+    runtime = t_count * (model.syndrome_round_time * d)
     if not math.isfinite(runtime) or fd.duration_fs > sys.float_info.max:
         raise ValidationError(
             "runtime or factory duration past the float range")
-    failure = tiles * t_count * _logical_error_rate(d, qp.p_gate, code)
-    return PhysicalEstimate(distance=d, tiles=tiles, n_factories=n_factories,
-                            factory_qubits_total=factory_total,
-                            n_physical_qubits=n_physical, runtime_s=runtime,
-                            cycles=t_count, factory=fd,
-                            logical_failure=failure)
-
+    return (d, tiles, n_factories, factory_total,
+            tiles * 2 * d * d + factory_total, runtime, t_count, fd,
+            tiles * t_count * model.ladder[d])

@@ -12,9 +12,9 @@ from importlib import resources
 import numpy as np
 
 from .codec import read_text, reading
-from .errors import ValidationError
+from .errors import DfqreError, ValidationError
 from .logicalcost import EstimationConfig
-from .physcost import CodeParams, QubitParams, estimate_physical
+from .physcost import CodeParams, QubitParams, _model, _price
 
 HARTREE_TO_KJ_PER_MOL = 2625.4996
 
@@ -131,21 +131,29 @@ def reproduce_table(rows: list[ReportRow],
                     qp: QubitParams | None = None,
                     code: CodeParams | None = None,
                     config: EstimationConfig | None = None) -> TableComparison:
-    """Re-estimate every row from its (n_logical, t_count) and compare."""
+    """Re-estimate every row from its (n_logical, t_count) as
+    ``estimate_physical`` would, against one resolved (qp, code) model, and
+    compare. A row that cannot be priced raises its error, its message
+    prefixed with the row's 1-based position, fragment and basis."""
+    model, config = _model(qp, code), config or EstimationConfig()
     results = []
-    for row in rows:
-        est = estimate_physical(row.n_logical, row.t_count, qp, code, config)
+    for number, row in enumerate(rows, start=1):
+        try:
+            distance, _, factories, _, physical, runtime, *_ = _price(
+                model, config, row.n_logical, row.t_count)
+        except DfqreError as exc:
+            raise type(exc)(f"row {number} ({row.fragment} {row.basis}): "
+                            f"{exc}") from None
         results.append(RowComparison(
             row=row,
-            model_distance=est.distance,
-            model_physical=est.n_physical_qubits,
-            model_factories=est.n_factories,
-            model_runtime_s=est.runtime_s,
-            distance_match=est.distance == row.distance,
-            physical_rel_err=abs(est.n_physical_qubits - row.n_physical)
-            / row.n_physical,
-            runtime_rel_err=abs(est.runtime_s - row.runtime_s) / row.runtime_s,
-            factory_diff=est.n_factories - row.n_factories))
+            model_distance=distance,
+            model_physical=physical,
+            model_factories=factories,
+            model_runtime_s=runtime,
+            distance_match=distance == row.distance,
+            physical_rel_err=abs(physical - row.n_physical) / row.n_physical,
+            runtime_rel_err=abs(runtime - row.runtime_s) / row.runtime_s,
+            factory_diff=factories - row.n_factories))
     return TableComparison(rows=tuple(results))
 
 

@@ -148,12 +148,14 @@ def test_fmo_assemble_cli(tmp_path, capsys):
     assert main(["fmo-assemble", str(path)]) == 0
     assert capsys.readouterr().out == '{"total_energy_hartree": 0.0}\n'
 
-    # a total past the float range is no JSON number
+    # a total past the float range is no JSON number, and is named
     path.write_text(json.dumps({"monomers": {"A": 1e308, "B": 1e308}}))
     assert main(["fmo-assemble", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert strict_json(captured.err)["error"] == "numerical"
+    err = strict_json(captured.err)
+    assert err["error"] == "numerical"
+    assert "total_energy_hartree = inf" in err["message"]
 
 
 def test_binding_affinity_cli(capsys):
@@ -166,11 +168,13 @@ def test_binding_affinity_cli(capsys):
     assert main(["binding-affinity", "--", "-1.5e2", "0", "0"]) == 0
     assert strict_json(capsys.readouterr().out)["delta_e_hartree"] == -150.0
 
-    # finite Hartree, but past the float range in kJ/mol
+    # finite Hartree, but past the float range in kJ/mol, named
     assert main(["binding-affinity", "1e306", "0", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert strict_json(captured.err)["error"] == "numerical"
+    err = strict_json(captured.err)
+    assert err["error"] == "numerical"
+    assert "delta_e_kj_per_mol = inf" in err["message"]
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch, integral_file):
@@ -610,13 +614,21 @@ def test_table_t_count_read_exactly(tmp_path, capsys):
     ["reproduce-table", "TABLE"],
 ])
 def test_t_count_past_float_range_reports_saturation(tmp_path, capsys, argv):
-    # layout tiles * 1e308 is past the float range (OverflowError before)
+    # layout tiles * 1e308 is past the float range (OverflowError before);
+    # the table names the failing row, here the second
     path = tmp_path / "table.csv"
-    path.write_text(TABLE_HEADER + TABLE_ROW.replace("4.00e10", "1e308"))
+    path.write_text(TABLE_HEADER + TABLE_ROW + TABLE_ROW.replace(
+        "4.00e10", "1e308").replace("sto-3g", "6-31g"))
     assert main([str(path) if arg == "TABLE" else arg for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert strict_json(captured.err)["error"] == "distance-saturation"
+    err = strict_json(captured.err)
+    assert err["error"] == "distance-saturation"
+    saturated = "no distance <= 99 meets logical budget 0.00333333"
+    if "TABLE" in argv:
+        assert err["message"] == f"row 2 (8 6-31g): {saturated}"
+    else:
+        assert err["message"] == saturated
 
 
 def _split(logical, t_states):
@@ -633,7 +645,8 @@ def _split(logical, t_states):
     ({"qubit_presets": {"x": {"p_gate": 0.02}}}, "1000000", "invalid-input",
      "at or above threshold"),
     (_split(0.0, 0.005), "1000000", "invalid-input", "budget_split.logical"),
-    (_split(0.005, 0.0), "1000000", "invalid-input", "per-T error budget"),
+    (_split(0.005, 0.0), "1000000", "invalid-input",
+     "budget_split.t_states per T state must lie in (0, 1), got 0"),
     # a syndrome round of 0 fs is refused with the preset, whatever the
     # T count, naming the two times
     *[({"qubit_presets": {"x": {"t_gate": 1e-31, "t_meas": 1e-31}}}, tcount,

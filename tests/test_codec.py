@@ -8,6 +8,7 @@ with its documented category."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,18 +27,35 @@ class _Table:
     values: np.ndarray
 
 
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    label: str
+    tables: tuple[_Table, ...]
+
+
 @pytest.mark.parametrize("indent", [1, None])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("place", [
-    lambda x: x,
-    lambda x: {"a": {"b": x}},
-    lambda x: [1.0, x],
-    lambda x: _Table(np.array([[0.5, x]])),
+@pytest.mark.parametrize("place, path", [
+    (lambda x: x, "value"),
+    (lambda x: {"a": {"b": x}}, "a.b"),
+    (lambda x: [1.0, x], "[1]"),
+    (lambda x: _Table(np.array([[0.5, x]])), "values[0][1]"),
 ], ids=["top-level", "nested-dict", "list", "ndarray-field"])
-def test_writer_refuses_non_finite(place, bad, indent):
-    with pytest.raises(NumericalError):
+def test_writer_refuses_non_finite(place, path, bad, indent):
+    with pytest.raises(NumericalError, match=re.escape(
+            f"non-finite result {path} = {bad!r}, not a JSON number")):
         codec.dumps(place(bad), indent=indent)
+
+
+def test_writer_names_first_non_finite_path():
+    # a nested dataclass in a list: the first bad value in json's order
+    bad = np.array([[0.5, -math.inf], [math.nan, 0.0]])
+    report = _Report("x", (_Table(np.array([1.0, 2.0])), _Table(bad)))
+    with pytest.raises(NumericalError) as caught:
+        codec.dumps(report)
+    assert str(caught.value) == ("non-finite result tables[1].values[0][1] "
+                                 "= -inf, not a JSON number")
 
 
 @pytest.mark.parametrize("doc", [

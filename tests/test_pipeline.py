@@ -1,14 +1,20 @@
+import dataclasses
 import hashlib
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfqre.errors import ValidationError
+from dfqre import physcost
+from dfqre.errors import DfqreError, ValidationError
+from dfqre.logicalcost import BudgetSplit, EstimationConfig
 from dfqre.pipeline import (DimerEnergy, FragmentEnergyLedger, ReportRow,
                             binding_affinity, comparison_csv, fit_scaling,
                             fmo_assemble, load_reference_table,
-                            reproduce_table)
+                            RowComparison, reproduce_table)
+from dfqre.physcost import CodeParams, QubitParams, estimate_physical
 
 
 def ledger(monomers, dimers=None):
@@ -159,3 +165,143 @@ class TestTableFixture:
     def test_missing_fixture_errors(self):
         with pytest.raises(OSError):
             load_reference_table("/nonexistent/table.csv")
+
+
+def _expected(rows, qp, code, config):
+    """reproduce_table's rows as built from estimate_physical, row by row,
+    or the (class, message) of the first row it refuses, with the row
+    prefix reproduce_table adds."""
+    results = []
+    for number, row in enumerate(rows, start=1):
+        try:
+            est = estimate_physical(row.n_logical, row.t_count, qp, code,
+                                    config)
+        except DfqreError as exc:
+            return (type(exc),
+                    f"row {number} ({row.fragment} {row.basis}): {exc}")
+        results.append(RowComparison(
+            row=row,
+            model_distance=est.distance,
+            model_physical=est.n_physical_qubits,
+            model_factories=est.n_factories,
+            model_runtime_s=est.runtime_s,
+            distance_match=est.distance == row.distance,
+            physical_rel_err=abs(est.n_physical_qubits - row.n_physical)
+            / row.n_physical,
+            runtime_rel_err=abs(est.runtime_s - row.runtime_s) / row.runtime_s,
+            factory_diff=est.n_factories - row.n_factories))
+    return results
+
+
+def _bits(comparison):
+    """Every field's type and repr: -0.0, 0 and 0.0 all differ."""
+    return [(type(v), repr(v)) for v in dataclasses.astuple(comparison)]
+
+
+def assert_priced_alike(rows, qp=None, code=None, config=None):
+    """reproduce_table equals estimate_physical row by row, field for field
+    and bit for bit, or raises the same class and message."""
+    expected = _expected(rows, qp, code, config)
+    try:
+        got = reproduce_table(rows, qp, code, config).rows
+    except DfqreError as exc:
+        assert (type(exc), str(exc)) == expected
+        return
+    assert isinstance(expected, list), expected
+    assert [_bits(r) for r in got] == [_bits(r) for r in expected]
+
+
+def _row(number, n_logical, t_count, distance=15):
+    return ReportRow(fragment=str(number), basis="sto-3g", n_orb=10,
+                     n_logical=n_logical, t_count=t_count, distance=distance,
+                     n_physical=8.68e5, n_factories=15,
+                     factory_qubits_total=2.4e5, runtime_s=2.31e5)
+
+
+# 0 and -0.0 are noiseless; 0.01 is the default threshold and 0.02 is
+# above both drawn thresholds
+P_GATES = st.sampled_from([0.0, -0.0, 1e-6, 1e-4, 1e-3, 9.9e-3, 0.01 - 1e-15,
+                           0.01, 0.02]) | st.floats(0.0, 0.03)
+
+
+@st.composite
+def hardware(draw):
+    p = draw(P_GATES)
+    qp = QubitParams("drawn", draw(st.sampled_from([50e-9, 100e-6])),
+                     draw(st.sampled_from([100e-9, 100e-6])), p, p)
+    code = CodeParams(a_coeff=draw(st.sampled_from([0.03, 0.1])),
+                      p_threshold=draw(st.sampled_from([0.01, 0.0101])),
+                      d_min=2 * draw(st.integers(0, 51)) + 1)
+    return qp, code
+
+
+@st.composite
+def configs(draw):
+    budget = draw(st.floats(1e-8, 0.5))
+    if draw(st.booleans()):
+        return EstimationConfig(error_budget=budget)
+    fraction = st.sampled_from([0.0, 1 / 3, 1.0]) | st.floats(0.0, 1.0)
+    logical = budget * draw(fraction)
+    t_states = (budget - logical) * draw(fraction)
+    rotations = max(budget - logical - t_states, 0.0)
+    return EstimationConfig(error_budget=budget, budget_split=BudgetSplit(
+        logical, t_states, rotations))
+
+
+ROWS = st.lists(st.tuples(st.integers(1, 10**4), st.integers(0, 10**16),
+                          st.integers(1, 99)), min_size=1, max_size=4)
+
+
+class TestSharedPricing:
+    """reproduce_table prices each row through estimate_physical's own
+    routine against one cached (qubits, code) model."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hardware(), configs(), ROWS)
+    def test_rows_match_estimate_physical(self, model, config, rows):
+        qp, code = model
+        assert_priced_alike([_row(i, *r) for i, r in enumerate(rows)],
+                            qp, code, config)
+
+    @pytest.mark.parametrize("p_gate", [0.0, -0.0, 1e-4, 9.9e-3, 0.01, 0.02])
+    @pytest.mark.parametrize("t_count", [0, 1, 4 * 10**10, 2**80, 10**305,
+                                         10**308, 10**400])
+    def test_edge_t_counts_match(self, p_gate, t_count):
+        qp = QubitParams("edge", p_gate=p_gate, p_meas=p_gate)
+        for code in (CodeParams(), CodeParams(d_min=101)):
+            assert_priced_alike([_row(1, 661, t_count)], qp, code)
+            assert_priced_alike([_row(1, 661, 10**6), _row(2, 5, t_count)],
+                                qp, code)
+
+    def test_defaults_match(self, reference_rows):
+        assert_priced_alike(reference_rows)
+        assert_priced_alike(reference_rows, physcost.get_preset(
+            "qubit_gate_ns_e4"), CodeParams(), EstimationConfig())
+
+    def test_above_threshold_raises_every_call(self):
+        # the model keeps a flag, never the error
+        noisy = QubitParams("noisy", 50e-9, 100e-9, 0.02, 0.02)
+        for _ in range(2):
+            with pytest.raises(ValidationError,
+                               match="row 1 .*at or above threshold"):
+                reproduce_table([_row(1, 661, 10**6)], noisy)
+            with pytest.raises(ValidationError, match="at or above threshold"):
+                estimate_physical(661, 10**6, noisy)
+
+    def test_one_ladder_per_hardware_model(self, reference_rows):
+        physcost._model.cache_clear()
+        qp = QubitParams("qubit_gate_us_e4", 100e-6, 100e-6, 1e-4, 1e-4)
+        for budget in (1e-4, 1e-3, 0.01, 0.3):
+            reproduce_table(reference_rows, qp, CodeParams(),
+                            EstimationConfig(error_budget=budget))
+        # an equal pair built anew is the same key
+        twin = QubitParams("qubit_gate_us_e4", 100e-6, 100e-6, 1e-4, 1e-4)
+        estimate_physical(661, 4 * 10**10, twin, CodeParams())
+        info = physcost._model.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        model = physcost._model(qp, CodeParams())
+        assert list(model.ladder) == list(range(3, 100, 2))
+        assert all(model.ladder[d] == physcost._logical_error_rate(
+            d, qp.p_gate, model.code) for d in model.ladder)
+        assert model.designs and all(design.rounds == rounds for rounds,
+                                     design in model.designs.items())
