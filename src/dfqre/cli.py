@@ -2,7 +2,9 @@
 
 Every subcommand exits 0 on success. Failures print a JSON record
 ``{"error": <category>, "message": ...}`` to stderr and exit 1, so
-callers can dispatch on the category without scraping messages.
+callers can dispatch on the category without scraping messages. A command
+line argparse refuses (an unknown option, a missing or mistyped value, no
+subcommand) is ``usage``, with argparse's message; ``--help`` exits 0.
 
 A JSON config file may be passed with --config or through the
 DFQRE_CONFIG environment variable; it can override the estimation
@@ -40,7 +42,7 @@ import os
 import sys
 
 from . import codec, dfact, ingest, pipeline
-from .errors import DfqreError, ValidationError
+from .errors import DfqreError, UsageError, ValidationError
 from .logicalcost import EstimationConfig, LogicalEstimate, estimate_logical
 from .physcost import CodeParams, QubitParams, estimate_physical, get_preset
 
@@ -75,9 +77,8 @@ def _settings(args) -> tuple[EstimationConfig, QubitParams, CodeParams]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
     except (DfqreError, OSError) as exc:
         category = exc.category if isinstance(exc, DfqreError) else "io"
@@ -87,8 +88,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subcommand parsers, that raise UsageError
+    where argparse would print the usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dfqre",
         description="Fault-tolerant quantum resource estimates for "
                     "double-factorized qubitization on molecular fragments")

@@ -9,7 +9,9 @@ one-body part plus a weighted sum of squared one-body operators:
 
 with E_ij the spin-summed excitation operator, hbar the reordering
 correction of the bare h1, and L^r = sum_m lambda^r_m R^r_m (R^r_m)^T the
-stage-2 eigendecomposition of leaf r.
+stage-2 eigendecomposition of leaf r. Both stages truncate by one rule,
+applied to a stack of spectra: stage 1 to the one row of pair-matrix
+weights, stage 2 to every kept leaf's spectrum in one call.
 """
 
 from __future__ import annotations
@@ -59,9 +61,14 @@ class DFLeaf:
         if vecs.shape[0] != eigvals.shape[0]:
             raise ValidationError("leaf eigval/vector count mismatch")
         gram = vecs @ vecs.T
-        if np.abs(gram - np.eye(len(eigvals))).max(initial=0.0) > 1e-10:
+        if gram.ndim:
+            gram.ravel()[::len(eigvals) + 1] -= 1.0  # gram - identity
+        else:  # a scalar from 1-D vectors, such as an empty leaf's (0,)
+            gram = gram - np.eye(len(eigvals))
+        if abs(gram).max(initial=0.0) > 1e-10:
             raise ValidationError("leaf eigenvectors are not orthonormal")
-        if np.any(np.diff(np.abs(eigvals)) > 1e-15):
+        mags = abs(eigvals)
+        if (mags[1:] - mags[:-1]).max(initial=0.0) > 1e-15:
             raise ValidationError("leaf eigenvalues not sorted by magnitude")
 
     @property
@@ -136,28 +143,31 @@ class DFDecomposition:
         return codec.loads(cls, text, "decomposition JSON")
 
 
-def _truncate_by_magnitude(eigvals: np.ndarray, tol: float
-                           ) -> tuple[np.ndarray, float]:
-    """Indices to keep under the discarded-|eigenvalue| budget ``tol``.
+def _truncate_by_magnitude(spectra: np.ndarray, tol: float
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row by row, the indices kept under the discarded-|eigenvalue| budget.
 
-    Numerically zero eigenvalues (relative to the largest) are always
-    dropped and do not consume the budget. Returns (kept order, discarded
-    absolute mass) with kept indices sorted by |eigenvalue| descending.
+    Numerically zero eigenvalues (relative to the row's largest) are always
+    dropped and do not consume ``tol``. Row r keeps order[r, :count[r]], by
+    |eigenvalue| descending. Returns (order, count, discarded absolute mass).
     """
-    magnitudes = np.abs(eigvals)
-    top = magnitudes.max(initial=0.0)
-    order = np.argsort(-magnitudes, kind="stable")
-    live = order[magnitudes[order] > ZERO_EIG_RTOL * top] if top > 0 else order[:0]
-    discarded = float(magnitudes[order[len(live):]].sum())
-
-    if tol > 0 and len(live):
-        tail = magnitudes[live][::-1]
-        budget_used = np.cumsum(tail)
-        n_drop = int(np.searchsorted(budget_used, tol, side="right"))
-        if n_drop:
-            discarded += float(budget_used[n_drop - 1])
-            live = live[: len(live) - n_drop]
-    return live, discarded
+    order = np.argsort(-np.abs(spectra), axis=1, kind="stable")
+    mags = np.abs(np.take_along_axis(spectra, order, axis=1))
+    count = (mags > ZERO_EIG_RTOL * mags[:, :1]).sum(axis=1)
+    n_zero = mags.shape[1] - count
+    discarded = np.zeros(len(mags))
+    # numpy sums each row pairwise, as .sum() sums it alone, but the grouping
+    # follows the row length: zero tails are summed one length at a time
+    for m in set(n_zero.tolist()) - {0}:
+        discarded[n_zero == m] = mags[n_zero == m, -m:].sum(axis=1)
+    if tol > 0:  # live magnitudes smallest first, cumulated behind the zeros
+        zero = np.arange(mags.shape[1]) < n_zero[:, None]
+        used = np.cumsum(np.where(zero, 0.0, mags[:, ::-1]), axis=1)
+        n_drop = (used <= tol).sum(axis=1) - n_zero
+        last = np.take_along_axis(used, (n_zero + n_drop - 1)[:, None], axis=1)
+        discarded += np.where(n_drop > 0, last[:, 0], 0.0)
+        count -= n_drop
+    return order, count, discarded
 
 
 def factorize(integrals: IntegralSet, tol_first: float = 0.0,
@@ -189,7 +199,8 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     if eps_target is not None:
         tol_first, tol_second = choose_tolerances(weights, eps_target)
 
-    kept, bound = _truncate_by_magnitude(weights, tol_first)
+    order, count, bound = _truncate_by_magnitude(weights[None], tol_first)
+    kept, bound = order[0, :count[0]], float(bound[0])
 
     # Invert the packing isometry for every kept stage-1 vector at once.
     leaf_mats = np.zeros((len(kept), n, n))
@@ -207,16 +218,16 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     flip = np.take_along_axis(rows_all, lead[..., None], axis=2) < 0
     rows_all = np.where(flip, -rows_all, rows_all)
 
+    order, count, dropped = _truncate_by_magnitude(eigvals_all, tol_second)
+    eigvals_all = np.take_along_axis(eigvals_all, order, axis=1)
+    rows_all = np.take_along_axis(rows_all, order[..., None], axis=1)
     leaves = []
-    for rank_pos, idx in enumerate(kept):
-        c_r = float(weights[idx])
-        eigvals = eigvals_all[rank_pos]
-        keep_m, dropped = _truncate_by_magnitude(eigvals, tol_second)
+    for r, (c_r, k, d) in enumerate(zip(weights[kept].tolist(), count.tolist(),
+                                        dropped.tolist())):
         # rank-1 update bound: || vLv^T - v'L'v'^T ||_2 <= 2 |c_r| ||dL||_F
-        bound += 2.0 * abs(c_r) * dropped
-        leaves.append(DFLeaf(index=rank_pos, weight=c_r,
-                             eigvals=eigvals[keep_m],
-                             vecs=rows_all[rank_pos][keep_m]))
+        bound += 2.0 * abs(c_r) * d
+        leaves.append(DFLeaf(index=r, weight=c_r, eigvals=eigvals_all[r, :k],
+                             vecs=rows_all[r, :k]))
 
     table = _pair_numbers(n)  # (il|lj) gathered straight from the pairs
     h_bar = integrals.h1 - 0.5 * np.einsum(

@@ -1,7 +1,8 @@
 """Exception hierarchy with machine-readable categories.
 
 The CLI maps every exception below to a JSON error record whose
-``category`` field scripts can dispatch on.
+``category`` field scripts can dispatch on; a command line that argparse
+refuses is ``usage``, with argparse's message.
 """
 
 from __future__ import annotations
@@ -57,3 +58,9 @@ class FactoryBudgetError(DfqreError):
     """Requested per-T-state error is unreachable within three rounds."""
 
     category = "factory-budget"
+
+
+class UsageError(DfqreError):
+    """A command line the CLI's argument parser refuses."""
+
+    category = "usage"

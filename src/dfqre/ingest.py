@@ -40,6 +40,7 @@ that path counts lines, so it alone names the error and its line.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -230,23 +231,28 @@ class IntegralSet:
         return self.pairs[table[:, :, None, None], table[None, None]]
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper-triangle pair list (i <= j) with isometry weights.
+    """Upper-triangle pair list (i <= j) with isometry weights; shared, read-only.
 
     Off-diagonal pairs carry sqrt(2) so that packed vectors inherit the
     Frobenius inner product of the symmetric matrices they represent.
     """
     iu, ju = np.triu_indices(n)
     w = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    iu.flags.writeable = ju.flags.writeable = w.flags.writeable = False
     return iu, ju, w
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_numbers(n: int) -> np.ndarray:
     """The (n, n) table whose (i, j) and (j, i) hold the number of pair
-    (min(i, j), max(i, j)) in ``_pair_indices`` order."""
+    (min(i, j), max(i, j)) in ``_pair_indices`` order; shared, read-only."""
+    iu, ju, _ = _pair_indices(n)
     table = np.zeros((n, n), dtype=np.intp)
-    table[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
-    return np.maximum(table, table.T)
+    table[iu, ju] = table[ju, iu] = np.arange(len(iu))
+    table.flags.writeable = False
+    return table
 
 
 def canonical_pair_index(i: int, j: int) -> tuple[int, int]:

@@ -729,3 +729,46 @@ def test_oversized_norb_reports_resource_limit(tmp_path, norb):
     assert err["error"] == "resource-limit"
     assert f"pair matrix needs {8 * (norb * (norb + 1) // 2)**2} bytes" \
         in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate-physical", "--nlogical", "5"],
+     "unrecognized arguments: --nlogical 5"),
+    (["reproduce-table", "--csv"], "argument --csv: expected one argument"),
+    ([], "the following arguments are required: command"),
+    (["binding-affinity", "abc", "0", "0"],
+     "argument e_complex: invalid float value: 'abc'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+])
+def test_usage_error_reports_category(capsys, argv, message):
+    """A command line argparse refuses is a ``usage`` record with
+    argparse's message and exit 1, not argparse's text and exit 2."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = strict_json(captured.err)
+    assert err["error"] == "usage" and message in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["factorize", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dfqre")
+
+
+def test_usage_error_exit_status_of_module():
+    """Through ``python -m dfqre.cli``, as the console script runs it:
+    exit 1 with one usage record on stderr, and ``--help`` exits 0."""
+    src = str(Path(dfqre.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = [sys.executable, "-m", "dfqre.cli"]
+    proc = subprocess.run(run + ["estimate-physical", "--nlogical", "5"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert strict_json(proc.stderr)["error"] == "usage"
+    proc = subprocess.run(run + ["--help"], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0 and proc.stderr == ""

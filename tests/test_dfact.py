@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import integral_set, pair_residual, stage1_matrix
-from dfqre.dfact import (DFDecomposition, DFLeaf, choose_tolerances,
-                         factorize, lambda_norms, qpe_energy_offset,
-                         reconstruct)
+from dfqre.dfact import (ZERO_EIG_RTOL, DFDecomposition, DFLeaf,
+                         _truncate_by_magnitude, choose_tolerances, factorize,
+                         lambda_norms, qpe_energy_offset, reconstruct)
 from dfqre.errors import ParseError, ValidationError
 from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic, \
     parse_integrals, serialize_integrals
@@ -41,6 +43,129 @@ def assert_signs_match_reference(df):
     for leaf in df.leaves:
         expected = np.array([reference_fix_sign(row) for row in leaf.vecs])
         assert np.array_equal(leaf.vecs, expected.reshape(leaf.vecs.shape))
+
+
+def reference_truncate(eigvals, tol):
+    """The truncation rule on one spectrum, as factorize applied it leaf by
+    leaf before the spectra were stacked: (kept indices, discarded mass)."""
+    magnitudes = np.abs(eigvals)
+    top = magnitudes.max(initial=0.0)
+    order = np.argsort(-magnitudes, kind="stable")
+    live = order[magnitudes[order] > ZERO_EIG_RTOL * top] if top > 0 else order[:0]
+    discarded = float(magnitudes[order[len(live):]].sum())
+
+    if tol > 0 and len(live):
+        tail = magnitudes[live][::-1]
+        budget_used = np.cumsum(tail)
+        n_drop = int(np.searchsorted(budget_used, tol, side="right"))
+        if n_drop:
+            discarded += float(budget_used[n_drop - 1])
+            live = live[: len(live) - n_drop]
+    return live, discarded
+
+
+@st.composite
+def spectra_and_tol(draw):
+    """A stack of spectra with exact zeros, values at and next to the
+    zero cutoff, tied magnitudes and all-zero rows, and a tolerance that is
+    0, drawn, or exactly one of the budget sums the rule compares with."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    stack = np.zeros((rows, width))
+    for r in range(rows):
+        if draw(st.integers(0, 4)) == 0:
+            continue  # all zero
+        top = draw(st.floats(1e-6, 1e6))
+        cut = ZERO_EIG_RTOL * top
+        pool = [0.0, top, cut, np.nextafter(cut, 1.0), cut / 3,
+                *draw(st.lists(st.floats(-top, top), min_size=1, max_size=3))]
+        value = (st.sampled_from(pool) | st.floats(0.0, cut)
+                 | st.floats(-top, top))
+        row = np.array(draw(st.lists(value, min_size=width, max_size=width)))
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                       min_size=width, max_size=width)))
+        row[draw(st.integers(0, width - 1))] = top
+        stack[r] = row * signs
+    live_sums = [0.0]
+    for row in stack:  # the cumulated live magnitudes, smallest first
+        kept, _ = reference_truncate(row, 0.0)
+        live_sums += np.cumsum(np.abs(row[kept])[::-1]).tolist()
+    tol = draw(st.sampled_from([0.0, *live_sums]) | st.floats(0.0, 1e7))
+    return stack, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra_and_tol())
+def test_stacked_truncation_matches_per_leaf_rule(case):
+    """Each row keeps the indices and discards the mass, bit for bit, of
+    the rule applied to that row alone."""
+    stack, tol = case
+    order, count, discarded = _truncate_by_magnitude(stack, tol)
+    assert order.shape == stack.shape and count.shape == discarded.shape
+    for r, row in enumerate(stack):
+        kept, mass = reference_truncate(row, tol)
+        assert np.array_equal(order[r, :count[r]], kept)
+        assert discarded[r].tobytes() == np.float64(mass).tobytes()
+
+
+def test_stacked_truncation_sums_long_zero_tails_pairwise():
+    """Zero tails of several lengths above numpy's 8-term unrolled block,
+    whose pairwise sum groups terms by the tail's own length."""
+    rng = np.random.default_rng(0)
+    stack = np.zeros((4, 40))
+    stack[:, 0] = 1.0
+    for r, length in enumerate((9, 17, 30, 39)):
+        stack[r, 1:length + 1] = rng.uniform(0.0, 1e-12, length) * 0.999
+    order, count, discarded = _truncate_by_magnitude(stack, 0.0)
+    for r, row in enumerate(stack):
+        kept, mass = reference_truncate(row, 0.0)
+        assert np.array_equal(order[r, :count[r]], kept)
+        assert discarded[r].tobytes() == np.float64(mass).tobytes()
+
+
+GOOD_LEAF = dict(index=2, weight=0.5, eigvals=[0.5, -0.25],
+                 vecs=[[1.0, 0.0], [0.0, 1.0]])
+NON_FINITE = "leaf 2 holds a non-finite value"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"weight": math.nan}, NON_FINITE),
+    ({"weight": -math.inf}, NON_FINITE),
+    ({"eigvals": [0.5, math.nan]}, NON_FINITE),
+    ({"eigvals": [math.inf, 0.25]}, NON_FINITE),
+    ({"vecs": [[1.0, 0.0], [0.0, math.nan]]}, NON_FINITE),
+    ({"vecs": [[1.0, -math.inf], [0.0, 1.0]]}, NON_FINITE),
+    # non-finite and non-orthonormal: the non-finite check comes first
+    ({"eigvals": [math.nan, 0.25], "vecs": [[1.0, 0.0], [1.0, 0.0]]},
+     NON_FINITE),
+    ({"eigvals": [0.5]}, "leaf eigval/vector count mismatch"),
+    ({"vecs": [[1.0, 0.0], [1.0, 0.0]]},
+     "leaf eigenvectors are not orthonormal"),
+    ({"vecs": [[1.0, 0.0], [0.0, 1.0 + 1e-9]]},
+     "leaf eigenvectors are not orthonormal"),
+    ({"vecs": [[1.0, 2e-10], [0.0, 1.0]]},
+     "leaf eigenvectors are not orthonormal"),
+    ({"vecs": [0.0, 1.0]}, "leaf eigenvectors are not orthonormal"),
+    ({"eigvals": [0.25, -0.5]}, "leaf eigenvalues not sorted by magnitude"),
+    ({"eigvals": [0.5, 0.5 + 1e-14]},
+     "leaf eigenvalues not sorted by magnitude"),
+])
+def test_leaf_fault_messages(change, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        DFLeaf(**{**GOOD_LEAF, **change})
+
+
+@pytest.mark.parametrize("change", [
+    {},
+    {"vecs": [[1.0, 5e-11], [0.0, 1.0]]},  # within the 1e-10 Gram check
+    {"eigvals": [0.5, -0.5 - 1e-16]},  # a tie within 1e-15
+    {"eigvals": [], "vecs": []},  # an empty leaf as JSON reads it
+    {"eigvals": np.zeros(0), "vecs": np.zeros((0, 3))},
+    # 1-D vectors: their scalar Gram is held against np.eye, as before
+    {"eigvals": [0.5], "vecs": [-1.0]},
+])
+def test_leaf_checks_accept(change):
+    leaf = DFLeaf(**{**GOOD_LEAF, **change})
+    assert leaf.n_eigs == len(leaf.eigvals)
 
 
 class TestFactorize:

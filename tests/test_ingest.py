@@ -216,6 +216,25 @@ class TestIntegralSetInvariants:
         assert ints.h2 is not h2  # built on each call, not kept
 
 
+@pytest.mark.parametrize("n_orb", [1, 2, 5, 9])
+def test_pair_tables_are_shared_and_read_only(n_orb):
+    """Each n_orb's pair list and pair-number table are built once: every
+    caller gets the same arrays, and writing to them raises."""
+    iu, ju, w = ingest._pair_indices(n_orb)
+    table = ingest._pair_numbers(n_orb)
+    assert all(a is b for a, b in zip(ingest._pair_indices(n_orb), (iu, ju, w)))
+    assert ingest._pair_numbers(n_orb) is table
+    # the values the callers gather: np.triu_indices order, sqrt(2) off
+    # the diagonal, and each pair's number under both (i, j) and (j, i)
+    assert np.array_equal(np.stack([iu, ju]), np.triu_indices(n_orb))
+    assert np.array_equal(w, np.where(iu == ju, 1.0, math.sqrt(2.0)))
+    assert np.array_equal(table[iu, ju], np.arange(len(iu)))
+    assert np.array_equal(table, table.T)
+    for array in (iu, ju, w, table):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
 class TestGenSynthetic:
     def test_zero_rank_gives_zero_tensor(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=3, rank=0, seed=7))
