@@ -70,19 +70,6 @@ class EstimationConfig:
         object.__setattr__(self, "budget_split", split)
 
 
-@dataclass(frozen=True)
-class WalkStepCost:
-    t_per_step: int
-    ancilla_qubits: int
-    rotations_per_step: int
-    t_per_rotation: int
-    eps_rotation: float
-    t_lookup: int
-    t_rotations: int
-    t_reflection: int
-    qubit_breakdown: dict = field(default_factory=dict)
-
-
 def _qpe_steps(lam: float, eps_phase: float) -> int:
     """Walk applications for phase accuracy eps_phase at normalization lam.
 
@@ -97,8 +84,9 @@ def _qpe_steps(lam: float, eps_phase: float) -> int:
 
 
 def _walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
-                    total_steps: int) -> WalkStepCost:
-    """T and ancilla cost of one controlled walk step.
+                    total_steps: int) -> dict:
+    """T and ancilla cost of one controlled walk step, as the walk-step
+    entries of ``LogicalEstimate.breakdown``.
 
     ``dims`` is ``(n_orb, n_leaves, total_leaf_eigs)``, as returned by
     ``DFDecomposition.dims()``. ``total_steps`` (>= 1) sets the number of
@@ -124,26 +112,24 @@ def _walk_step_cost(dims: tuple[int, int, int], config: EstimationConfig,
     t_lookup = T_PER_LOOKUP_ENTRY * (n_leaves + total_eigs + 1)
     t_rotations = rotations_per_step * t_per_rotation
     t_reflection = T_REFLECTION_BASE + 4 * _bits(n_leaves + 2)
-    t_per_step = t_lookup + t_rotations + t_reflection
-
-    qubits = {
-        "leaf_select": _bits(n_leaves + 2),
-        "orbital_select": _bits(n),
-        "eigenpair_data": _bits(max(total_eigs, 1) + 1),
-        "keep_probability": KEEP_REGISTER_BITS,
-        "phase_gradient": PHASE_GRADIENT_BITS,
+    return {
+        "qubits": {
+            "leaf_select": _bits(n_leaves + 2),
+            "orbital_select": _bits(n),
+            "eigenpair_data": _bits(max(total_eigs, 1) + 1),
+            "keep_probability": KEEP_REGISTER_BITS,
+            "phase_gradient": PHASE_GRADIENT_BITS,
+        },
+        "t_per_step": {
+            "lookup": t_lookup,
+            "rotations": t_rotations,
+            "reflection": t_reflection,
+            "total": t_lookup + t_rotations + t_reflection,
+        },
+        "rotations_per_step": rotations_per_step,
+        "t_per_rotation": t_per_rotation,
+        "eps_rotation": eps_rotation,
     }
-    return WalkStepCost(
-        t_per_step=t_per_step,
-        ancilla_qubits=sum(qubits.values()),
-        rotations_per_step=rotations_per_step,
-        t_per_rotation=t_per_rotation,
-        eps_rotation=eps_rotation,
-        t_lookup=t_lookup,
-        t_rotations=t_rotations,
-        t_reflection=t_reflection,
-        qubit_breakdown=qubits,
-    )
 
 
 def _bits(value: int) -> int:
@@ -180,27 +166,12 @@ def estimate_logical(df: DFDecomposition,
     config = config or EstimationConfig()
     _, _, lam = lambda_norms(df)
     steps = _qpe_steps(lam, config.eps_total_energy / 2.0)
-    cost = _walk_step_cost(df.dims(), config, max(steps, 1))
-    t_count = steps * cost.t_per_step
+    breakdown = _walk_step_cost(df.dims(), config, max(steps, 1))
     phase_bits = math.ceil(math.log2(steps)) if steps > 0 else 0
-    n_logical = 2 * df.n_orb + phase_bits + cost.ancilla_qubits
-
-    breakdown = {
-        "qubits": {
-            "system": 2 * df.n_orb,
-            "phase_register": phase_bits,
-            **cost.qubit_breakdown,
-        },
-        "t_per_step": {
-            "lookup": cost.t_lookup,
-            "rotations": cost.t_rotations,
-            "reflection": cost.t_reflection,
-            "total": cost.t_per_step,
-        },
-        "rotations_per_step": cost.rotations_per_step,
-        "t_per_rotation": cost.t_per_rotation,
-        "eps_rotation": cost.eps_rotation,
-    }
-    return LogicalEstimate(n_orb=df.n_orb, n_logical_qubits=n_logical,
-                           t_count=t_count, qpe_steps=steps, lam=lam,
-                           breakdown=breakdown)
+    breakdown["qubits"] = {"system": 2 * df.n_orb,
+                           "phase_register": phase_bits,
+                           **breakdown["qubits"]}
+    return LogicalEstimate(
+        n_orb=df.n_orb, n_logical_qubits=sum(breakdown["qubits"].values()),
+        t_count=steps * breakdown["t_per_step"]["total"], qpe_steps=steps,
+        lam=lam, breakdown=breakdown)

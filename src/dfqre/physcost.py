@@ -60,7 +60,7 @@ class QubitParams:
         for name in ("p_gate", "p_meas"):
             p = getattr(self, name)
             if not 0 <= p < 1:
-                raise ValidationError("error probabilities must lie in [0, 1)")
+                raise ValidationError(f"{name} must lie in [0, 1), got {p}")
             if p == 0:
                 object.__setattr__(self, name, abs(p))
 
@@ -111,7 +111,7 @@ class _Model:
     maps each odd d from d_min to p_L(d) (empty at or above threshold, which
     ``_min_distance`` raises), ``chain`` holds the error after 0..3 rounds,
     ``designs`` the factory designs built so far by round count, and the
-    syndrome round is kept under ``QubitParams``' names. Never raises."""
+    syndrome round in seconds and in whole femtoseconds. Never raises."""
 
     def __init__(self, qp: QubitParams | None, code: CodeParams | None):
         self.qp = qp = qp or get_preset("qubit_gate_ns_e4")
@@ -168,12 +168,6 @@ class FactoryDesign:
             raise ValidationError("factory qubits and duration must be positive")
 
 
-def _design_factories(qp: QubitParams, per_t_error_budget: float,
-                      code: CodeParams) -> FactoryDesign:
-    """``_factory`` on the model of (qp, code)."""
-    return _factory(_model(qp, code), per_t_error_budget)
-
-
 def _factory(model: _Model, per_t_error_budget: float) -> FactoryDesign:
     """Search 15-to-1 rounds for the smallest design meeting the budget.
 
@@ -211,11 +205,10 @@ def _factory(model: _Model, per_t_error_budget: float) -> FactoryDesign:
     return model.designs[rounds]
 
 
-def _count_factories(d: int, qp: QubitParams | _Model,
-                     fd: FactoryDesign) -> int:
-    """Parallel factories sustaining one T state per logical cycle:
-    ceil(duration / t_cycle(d))."""
-    return -(-fd.duration_fs // (d * qp.syndrome_round_fs))
+def _count_factories(d: int, round_fs: int, fd: FactoryDesign) -> int:
+    """Parallel factories sustaining one T state per logical cycle of d
+    syndrome rounds of ``round_fs`` femtoseconds: ceil(duration / t_cycle)."""
+    return -(-fd.duration_fs // (d * round_fs))
 
 
 @dataclass(frozen=True)
@@ -280,7 +273,7 @@ def _price(model: _Model, config: EstimationConfig, n_alg_qubits: int,
         raise ValidationError("budget_split.t_states per T state must lie "
                               f"in (0, 1), got {per_t:g}")
     fd = _factory(model, per_t)
-    n_factories = _count_factories(d, model, fd)
+    n_factories = _count_factories(d, model.syndrome_round_fs, fd)
     factory_total = n_factories * fd.qubits_per_factory
     runtime = t_count * (model.syndrome_round_time * d)
     if not math.isfinite(runtime) or fd.duration_fs > sys.float_info.max:

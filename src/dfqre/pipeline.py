@@ -21,7 +21,7 @@ HARTREE_TO_KJ_PER_MOL = 2625.4996
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One published resource-estimate row (or one row of our own output)."""
+    """One published resource-estimate row."""
 
     fragment: str
     basis: str

@@ -169,7 +169,7 @@ def test_criterion_4_logical_layer_properties():
     # rotation-budget identity holds exactly at several run lengths
     for steps in (1, 313, 10**6):
         cost = _walk_step_cost((6, 21, 126), config, steps)
-        assert steps * cost.rotations_per_step * cost.eps_rotation \
+        assert steps * cost["rotations_per_step"] * cost["eps_rotation"] \
             <= config.budget_split.rotations
 
 

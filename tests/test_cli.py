@@ -578,6 +578,60 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
     assert ("'bogus'" in err["message"]) == ('"bogus"' in text)
 
 
+@pytest.mark.parametrize("text, argv, category, message", [
+    ("", ["estimate-physical", "--qubits", "10", "--tcount", "-5"],
+     "invalid-input", "t_count must be non-negative"),
+    (json.dumps({"code": {"d_min": 4}}), ["--config", "{}", "reproduce-table"],
+     "invalid-input", "d_min must be a positive odd integer"),
+    (json.dumps({"code": {"a_coeff": 0}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input",
+     "a_coeff must be positive"),
+    (json.dumps({"code": {"p_threshold": 1}}),
+     ["--config", "{}", "reproduce-table"], "invalid-input",
+     "p_threshold must lie in (0, 1)"),
+    (json.dumps({"qubit_presets": {"x": {"p_gate": 1.0}}}), PHYSICAL_X,
+     "invalid-input", "p_gate must lie in [0, 1), got 1.0"),
+    (json.dumps({"estimation": {"error_budget": 1}}), LOGICAL_DF,
+     "invalid-input", "error_budget must lie in (0, 1)"),
+    (json.dumps({"estimation": {"rotation_cost_coefficient": 0}}), LOGICAL_DF,
+     "invalid-input", "rotation_cost_coefficient must be positive"),
+    (json.dumps({"estimation": {"budget_split": {
+        "logical": 0.005, "t_states": -0.001, "rotations": 0.006}}}),
+     LOGICAL_DF, "invalid-input", "budget share t_states must be >= 0"),
+    (json.dumps(dict(LOGICAL, t_count=-1)),
+     ["estimate-physical", "--from-logical", "{}"], "invalid-input",
+     "counts must be non-negative"),
+    (json.dumps(dict(LOGICAL, t_count=10, qpe_steps=100)),
+     ["estimate-physical", "--from-logical", "{}"], "invalid-input",
+     "t_count below one T per walk step"),
+    (_small_df("h_bar", value=[[0.0] * 3] * 2), ["estimate-logical", "{}"],
+     "invalid-input", "h_bar shape mismatch"),
+    (_small_df("h_bar", value=[[0.0, 1e-9], [0.0, 0.0]]),
+     ["estimate-logical", "{}"], "invalid-input",
+     "h_bar is not symmetric within 1e-12"),
+    (json.dumps(dict(json.loads(SMALL_DF), n_orb=1, h_bar=[[0.0]], leaves=[
+        {"index": i, "weight": 1.0, "eigvals": [1.0], "vecs": [[1.0]]}
+        for i in (0, 1)])), ["estimate-logical", "{}"], "invalid-input",
+     "more leaves than pair-matrix dimension"),
+    ("3\ncomment\n", ["parse-xyz", "{}"], "empty-input",
+     "no data lines in XYZ input"),
+], ids=["negative-tcount", "even-d-min", "zero-a-coeff", "unit-p-threshold",
+        "unit-p-gate", "unit-error-budget", "zero-rotation-coefficient",
+        "negative-t-states-share", "negative-t-count", "t-count-below-steps",
+        "h-bar-2x3", "h-bar-asymmetric", "two-leaves-at-n-orb-1",
+        "xyz-count-and-label-only"])
+def test_refusal_reports_category_and_message(tmp_path, capsys, text, argv,
+                                              category, message):
+    path, df_path = tmp_path / "input", tmp_path / "df.json"
+    path.write_text(text)
+    df_path.write_text(SMALL_DF)
+    assert main([arg.format(path, df=df_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = strict_json(captured.err)
+    assert err["error"] == category and err["message"] == message
+
+
 @pytest.mark.parametrize("argv", [
     ["parse-xyz", "{}"], ["factorize", "{}"], ["estimate-logical", "{}"],
     ["estimate-physical", "--from-logical", "{}"], ["reproduce-table", "{}"],

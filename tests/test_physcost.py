@@ -8,7 +8,7 @@ from dfqre.errors import (DistanceSaturationError, FactoryBudgetError,
                           ValidationError)
 from dfqre.logicalcost import BudgetSplit, EstimationConfig
 from dfqre.physcost import (CodeParams, QubitParams, _count_factories,
-                            _design_factories, _logical_error_rate,
+                            _factory, _logical_error_rate, _model,
                             estimate_physical, get_preset)
 
 QP = get_preset("qubit_gate_ns_e4")
@@ -115,30 +115,30 @@ class TestSelectDistance:
 class TestDesignFactories:
     def test_fragment8_scale_two_rounds(self):
         budget = EPS_LOGICAL / 4.00e10
-        design = _design_factories(QP, budget, CODE)
+        design = _factory(_model(QP, CODE), budget)
         assert design.rounds == 2
         assert 12_000 <= design.qubits_per_factory <= 20_000
         assert design.output_error <= budget
 
     def test_round_boundary_budget(self):
-        design = _design_factories(QP, 1e-10, CODE)
+        design = _factory(_model(QP, CODE), 1e-10)
         assert design.rounds == 1
         assert design.output_error == pytest.approx(3.5e-11, rel=1e-12)
 
     def test_first_round_sufficiency_rule(self):
         p = QP.p_gate
-        assert _design_factories(QP, 35.0 * p**3, CODE).rounds == 1
+        assert _factory(_model(QP, CODE), 35.0 * p**3).rounds == 1
 
     def test_output_error_decreases_with_rounds(self):
-        one = _design_factories(QP, 1e-10, CODE)
-        two = _design_factories(QP, 1e-15, CODE)
-        three = _design_factories(QP, 1e-40, CODE)
+        one = _factory(_model(QP, CODE), 1e-10)
+        two = _factory(_model(QP, CODE), 1e-15)
+        three = _factory(_model(QP, CODE), 1e-40)
         assert one.rounds == 1 and two.rounds == 2 and three.rounds == 3
         assert one.output_error > two.output_error > three.output_error
 
     def test_unreachable_budget(self):
         with pytest.raises(FactoryBudgetError):
-            _design_factories(QP, 1e-95, CODE)
+            _factory(_model(QP, CODE), 1e-95)
 
     def test_no_stage_distance_suppresses_clifford_error(self):
         # one round reaches 1e-4, but no d <= 99 sizes its stage; twice, so
@@ -147,16 +147,16 @@ class TestDesignFactories:
         for _ in range(2):
             with pytest.raises(FactoryBudgetError,
                                match="no stage distance suppresses"):
-                _design_factories(near, 1e-4, CODE)
+                _factory(_model(near, CODE), 1e-4)
 
     def test_unreachable_budget_raised_first(self):
         near = QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3)
         with pytest.raises(FactoryBudgetError, match="unreachable"):
-            _design_factories(near, 1e-95, CODE)
+            _factory(_model(near, CODE), 1e-95)
 
     def test_design_shared_across_budgets(self):
         # same rounds, same (qp, code): one cached design
-        one, same, two = (_design_factories(QP, budget, CODE)
+        one, same, two = (_factory(_model(QP, CODE), budget)
                           for budget in (1e-10, 2e-10, 1e-15))
         assert one is same and one is not two
 
@@ -167,39 +167,39 @@ class TestDesignFactories:
                           for p in (0.0, -0.0))
         assert math.copysign(1.0, negative.p_gate) == 1.0
         assert math.copysign(1.0, negative.p_meas) == 1.0
-        assert _design_factories(negative, 1e-4, CODE) \
-            is _design_factories(zero, 1e-4, CODE)
+        assert _factory(_model(negative, CODE), 1e-4) \
+            is _factory(_model(zero, CODE), 1e-4)
         text = estimate_physical(10, 10**6, negative).dumps()
         assert '"output_error": 0.0' in text and "-0.0" not in text
 
     def test_stage_distances_grow_with_round(self):
-        design = _design_factories(QP, 1e-15, CODE)
+        design = _factory(_model(QP, CODE), 1e-15)
         assert list(design.stage_distances) == \
             sorted(design.stage_distances)
 
 
 class TestCountFactories:
     def test_fragment8_fifteen(self):
-        design = _design_factories(QP, EPS_LOGICAL / 4.00e10, CODE)
+        design = _factory(_model(QP, CODE), EPS_LOGICAL / 4.00e10)
         # output period spans 14.4 cycles at distance 15
         ratio = design.duration_fs * 1e-15 / (QP.syndrome_round_time * 15)
         assert ratio == pytest.approx(14.4, rel=1e-9)
-        assert _count_factories(15, QP, design) == 15
+        assert _count_factories(15, QP.syndrome_round_fs, design) == 15
 
     def test_short_duration_single_factory(self):
-        design = _design_factories(QP, 1e-10, CODE)
+        design = _factory(_model(QP, CODE), 1e-10)
         tiny = type(design)(rounds=design.rounds,
                             stage_distances=design.stage_distances,
                             qubits_per_factory=design.qubits_per_factory,
                             duration_fs=10**6, output_error=design.output_error)
-        assert _count_factories(15, QP, tiny) == 1
+        assert _count_factories(15, QP.syndrome_round_fs, tiny) == 1
 
     def test_exact_integer_boundary(self):
         # 14.4 * 15 / 27 == 8 exactly; ceiling must not round it to 9
-        design = _design_factories(QP, 1e-15, CODE)
+        design = _factory(_model(QP, CODE), 1e-15)
         assert design.stage_distances[-1] == 15
-        assert _count_factories(27, QP, design) == 8
-        assert _count_factories(15, QP, design) == 15
+        assert _count_factories(27, QP.syndrome_round_fs, design) == 8
+        assert _count_factories(15, QP.syndrome_round_fs, design) == 15
 
 
 class TestEstimatePhysical:
