@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Every subcommand exits 0 on success. Failures print a JSON record
-``{"error": <category>, "message": ...}`` to stderr and exit 1, so
-callers can dispatch on the category without scraping messages. A command
-line argparse refuses (an unknown option, a missing or mistyped value, no
-subcommand) is ``usage``, with argparse's message; ``--help`` exits 0.
+Every subcommand exits 0 on success. A failure writes exactly one line to
+stderr, the JSON record ``{"error": <category>, "message": ...}``, and
+exits 1, so callers can dispatch on the category without scraping
+messages. A command line argparse refuses (an unknown option, a missing
+or mistyped value, no subcommand) is ``usage``, with argparse's message;
+``--help`` exits 0. ``estimate-physical --from-logical FILE`` takes its
+counts from the file and excludes ``--qubits``/``--tcount``.
 
 A JSON config file may be passed with --config or through the
 DFQRE_CONFIG environment variable; it can override the estimation
@@ -40,6 +42,8 @@ import dataclasses
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import codec, dfact, ingest, pipeline
 from .errors import DfqreError, UsageError, ValidationError
@@ -79,7 +83,10 @@ def _settings(args) -> tuple[EstimationConfig, QubitParams, CodeParams]:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        args.func(args)
+        # every non-finite value is refused where it appears; numpy's
+        # warnings would only add lines before the one error record
+        with np.errstate(all="ignore"):
+            args.func(args)
     except (DfqreError, OSError) as exc:
         category = exc.category if isinstance(exc, DfqreError) else "io"
         json.dump({"error": category, "message": str(exc)}, sys.stderr)
@@ -202,6 +209,8 @@ def _emit(text: str, path: str | None):
 def _cmd_estimate_physical(args):
     config, qp, code = _settings(args)
     if args.from_logical:
+        if args.qubits is not None or args.tcount is not None:
+            raise ValidationError("--from-logical excludes --qubits/--tcount")
         logical = codec.loads(LogicalEstimate, codec.read_text(
             args.from_logical), args.from_logical)
         qubits, t_count = logical.n_logical_qubits, logical.t_count

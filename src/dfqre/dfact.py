@@ -233,6 +233,10 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     h_bar = integrals.h1 - 0.5 * np.einsum(
         "ilj->ij", integrals.pairs[table[:, :, None], table[None]])
     h_bar = (h_bar + h_bar.T) / 2.0
+    if not np.isfinite(h_bar).all():
+        raise NumericalError("h_bar past the float range")
+    if not math.isfinite(bound):
+        raise NumericalError("truncation_bound past the float range")
     return DFDecomposition(n_orb=n, core_energy=integrals.core_energy,
                            h_bar=h_bar, leaves=tuple(leaves),
                            tol_first=float(tol_first),

@@ -8,10 +8,11 @@ once against published fragment estimates for the superconducting
 "qubit_gate_ns_e4" parameter set and are documented design choices of
 this artifact. Everything that depends on the qubits and the code alone
 (each odd distance's logical error rate, the distillation chain, the
-syndrome round, each factory design once built) is resolved once per
-(qubits, code) pair and cached; ``estimate_physical`` and
-``pipeline.reproduce_table`` price rows against it through one routine,
-``_price``, so a budget sweep or a whole table takes no power per row.
+syndrome round, every factory design) is resolved into one model when a
+(qubits, code) pair is first priced, cached, and never changed after
+that; ``estimate_physical`` and ``pipeline.reproduce_table`` price rows
+against it through one routine, ``_price``, so a budget sweep or a whole
+table takes no power per row.
 """
 
 from __future__ import annotations
@@ -69,11 +70,6 @@ class QubitParams:
         """Seconds per syndrome extraction round: 4 gates + 2 measurements."""
         return 4.0 * self.t_gate + 2.0 * self.t_meas
 
-    @property
-    def syndrome_round_fs(self) -> int:
-        """The syndrome round time in whole femtoseconds."""
-        return round(self.syndrome_round_time * 1e15)
-
 
 PRESETS = {"qubit_gate_ns_e4": QubitParams()}
 
@@ -107,25 +103,43 @@ def _logical_error_rate(d: int, p: float, code: CodeParams) -> float:
 
 
 class _Model:
-    """A (qubits, code) pair, defaults for None, resolved once: ``ladder``
-    maps each odd d from d_min to p_L(d) (empty at or above threshold, which
-    ``_min_distance`` raises), ``chain`` holds the error after 0..3 rounds,
-    ``designs`` the factory designs built so far by round count, and the
-    syndrome round in seconds and in whole femtoseconds. Never raises."""
+    """A (qubits, code) pair, defaults for None, resolved once and never
+    changed: ``ladder`` maps each odd d from d_min to p_L(d) (None at or
+    above threshold, which ``_min_distance`` raises), ``chain`` holds the
+    error after 0..3 rounds, ``designs`` the factory design of each round
+    count whose stages all have a distance, and the syndrome round in
+    seconds and in whole femtoseconds. Never raises.
+
+    Round k takes the previous round's output as input; acceptance
+    counting gives output 35 * p_in^3 per round. Stage distances are sized
+    so residual Clifford error stays below half of each stage's input
+    error, which fixes the footprint independently of how far below
+    35 p^3 chains the budget sits.
+    """
 
     def __init__(self, qp: QubitParams | None, code: CodeParams | None):
         self.qp = qp = qp or get_preset("qubit_gate_ns_e4")
         self.code = code = code or CodeParams()
         self.syndrome_round_time = qp.syndrome_round_time
-        self.syndrome_round_fs = qp.syndrome_round_fs
+        self.syndrome_round_fs = round(self.syndrome_round_time * 1e15)
         distances = range(code.d_min, MAX_DISTANCE + 1, 2)
-        self.above_threshold = bool(distances) and not (
-            qp.p_gate < code.p_threshold)
-        self.ladder = {} if self.above_threshold else {
-            d: _logical_error_rate(d, qp.p_gate, code) for d in distances}
-        self.designs, self.chain = {}, [qp.p_gate]
+        self.ladder = (None if distances and qp.p_gate >= code.p_threshold
+                       else {d: _logical_error_rate(d, qp.p_gate, code)
+                             for d in distances})
+        self.chain = [qp.p_gate]
         for _ in range(MAX_DISTILL_ROUNDS):
             self.chain.append(DISTILL_REDUCTION * self.chain[-1] ** 3)
+        stages = [] if self.ladder is None else [
+            _min_distance(FACTORY_CLIFFORD_LOCATIONS, error / 2.0, self)
+            for error in self.chain[:MAX_DISTILL_ROUNDS]]
+        self.designs = {}
+        for rounds, d in enumerate(stages, 1):
+            if d is None:
+                break
+            self.designs[rounds] = FactoryDesign(
+                rounds, tuple(stages[:rounds]), FACTORY_TILES * 2 * d * d,
+                int(FACTORY_CYCLES_PER_OUTPUT * d * self.syndrome_round_fs),
+                self.chain[rounds])
 
 
 _model = functools.lru_cache(maxsize=64)(_Model)
@@ -137,7 +151,7 @@ def _min_distance(scale: float, limit: float, model: _Model) -> int | None:
     normal float p_L(d) exceeds 1 (and whose conversion would overflow)."""
     if scale > sys.float_info.max:
         return None
-    if model.above_threshold:
+    if model.ladder is None:
         raise ValidationError(f"physical error rate {model.qp.p_gate} at or "
                               f"above threshold {model.code.p_threshold}")
     for d, rate in model.ladder.items():
@@ -161,47 +175,19 @@ class FactoryDesign:
     duration_fs: int = field(metadata={"json": "duration_s", "scale": 1e-15})
     output_error: float           # acceptance-counting error per T state
 
-    def __post_init__(self):
-        if self.rounds < 1 or len(self.stage_distances) != self.rounds:
-            raise ValidationError("stage count must match rounds")
-        if self.qubits_per_factory < 1 or self.duration_fs <= 0:
-            raise ValidationError("factory qubits and duration must be positive")
-
 
 def _factory(model: _Model, per_t_error_budget: float) -> FactoryDesign:
-    """Search 15-to-1 rounds for the smallest design meeting the budget.
-
-    Round k takes the previous round's output as input; acceptance
-    counting gives output 35 * p_in^3 per round. Stage distances are sized
-    so residual Clifford error stays below half of each stage's input
-    error, which fixes the footprint independently of how far below
-    35 p^3 chains the budget sits.
-
-    The round choice runs on every call; the frozen design for the chosen
-    rounds is built once per model. Errors are raised on every call.
-    """
-    chain = model.chain
+    """The model's design with the fewest rounds that meets the budget."""
     for rounds in range(1, MAX_DISTILL_ROUNDS + 1):
-        if chain[rounds] <= per_t_error_budget:
+        if model.chain[rounds] <= per_t_error_budget:
             break
     else:
         raise FactoryBudgetError(
             f"budget {per_t_error_budget:g} unreachable in "
             f"{MAX_DISTILL_ROUNDS} rounds of 15-to-1 distillation")
-    if rounds in model.designs:
-        return model.designs[rounds]
-    distances = tuple(_min_distance(FACTORY_CLIFFORD_LOCATIONS, chain[k] / 2.0,
-                                    model) for k in range(rounds))
-    if None in distances:
+    if rounds not in model.designs:
         raise FactoryBudgetError(
             "no stage distance suppresses Clifford error enough")
-    d_last = distances[-1]
-    model.designs[rounds] = FactoryDesign(
-        rounds=rounds, stage_distances=distances,
-        qubits_per_factory=FACTORY_TILES * 2 * d_last * d_last,
-        duration_fs=int(FACTORY_CYCLES_PER_OUTPUT * d_last
-                        * model.syndrome_round_fs),
-        output_error=chain[rounds])
     return model.designs[rounds]
 
 

@@ -26,6 +26,16 @@ def strict_json(text: str):
 WATER_XYZ = "3\nwater\nO 0.0 0.0 0.0\nH 0.9572 0.0 0.0\nH -0.2399872 0.9266272 0.0\n"
 
 
+def _run_module(*argv):
+    """``python -m dfqre.cli *argv``, as the console script runs it, with
+    this package first on the path."""
+    src = str(Path(dfqre.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dfqre.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.fixture
 def integral_file(tmp_path):
     ints = gen_synthetic(SyntheticSpec(n_orb=3, rank=4, seed=2))
@@ -331,6 +341,40 @@ def test_factorize_bad_eps_reports_invalid_input(integral_file, capsys,
                                         "message": message}
 
 
+# finite integrals whose factorization leaves the float range: h_bar, the
+# truncation bound, or the weighted pair matrix before its eigh
+OVERFLOWING_INTEGRALS = {
+    "h-bar": ("NORB 1\n1.5e308 1 1 0 0\n-1.5e308 1 1 1 1\n",
+              "h_bar past the float range"),
+    "bound": ("NORB 2\n1e300 1 2 1 2\n1.7e308 1 1 1 1\n",
+              "truncation_bound past the float range"),
+    "pairs": ("NORB 2\n1e308 1 2 1 2\n", "non-finite stage-1 eigenvalues"),
+}
+
+
+@pytest.mark.parametrize("text, message", OVERFLOWING_INTEGRALS.values(),
+                         ids=OVERFLOWING_INTEGRALS)
+def test_factorize_overflow_reports_numerical(tmp_path, capsys, text,
+                                              message):
+    path = tmp_path / "big.ints"
+    path.write_text(text)
+    assert main(["factorize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert strict_json(captured.err) == {"error": "numerical",
+                                        "message": message}
+
+
+def test_factorize_overflow_writes_one_stderr_line(tmp_path):
+    """Through ``python -m dfqre.cli``: no numpy warning joins the record."""
+    path = tmp_path / "big.ints"
+    path.write_text(OVERFLOWING_INTEGRALS["h-bar"][0])
+    proc = _run_module("factorize", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert strict_json(proc.stderr)["error"] == "numerical"
+
+
 def _decomposition_dict(tmp_path, integral_file, capsys):
     df_path = tmp_path / "df.json"
     assert main(["factorize", str(integral_file), "-o", str(df_path)]) == 0
@@ -615,11 +659,22 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
      "more leaves than pair-matrix dimension"),
     ("3\ncomment\n", ["parse-xyz", "{}"], "empty-input",
      "no data lines in XYZ input"),
+    ("H nan 0 0\n", ["parse-xyz", "{}"], "parse",
+     "line 1: non-finite coordinate in 'H nan 0 0'"),
+    ("water\nH 0 0 0\n", ["parse-xyz", "{}"], "parse",
+     "line 1: expected 'Sym x y z', got 'water'"),
+    # after a count line, a line that is no atom row is the label
+    ("1\nH x y z\n", ["parse-xyz", "{}"], "empty-input",
+     "no data lines in XYZ input"),
+    (json.dumps(LOGICAL), ["estimate-physical", "--from-logical", "{}",
+                           "--qubits", "5", "--tcount", "7"],
+     "invalid-input", "--from-logical excludes --qubits/--tcount"),
 ], ids=["negative-tcount", "even-d-min", "zero-a-coeff", "unit-p-threshold",
         "unit-p-gate", "unit-error-budget", "zero-rotation-coefficient",
         "negative-t-states-share", "negative-t-count", "t-count-below-steps",
         "h-bar-2x3", "h-bar-asymmetric", "two-leaves-at-n-orb-1",
-        "xyz-count-and-label-only"])
+        "xyz-count-and-label-only", "xyz-nan-coordinate", "xyz-no-count-line",
+        "xyz-atom-like-label", "from-logical-and-counts"])
 def test_refusal_reports_category_and_message(tmp_path, capsys, text, argv,
                                               category, message):
     path, df_path = tmp_path / "input", tmp_path / "df.json"
@@ -772,11 +827,7 @@ def test_oversized_norb_reports_resource_limit(tmp_path, norb):
     is allocated: an error record naming the bytes, no traceback."""
     path = tmp_path / "big.ints"
     path.write_text(f"NORB {norb}\n0.5 1 1 0 0\n")
-    src = str(Path(dfqre.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "dfqre.cli", "factorize",
-                           str(path)], capture_output=True, text=True, env=env)
+    proc = _run_module("factorize", str(path))
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     err = strict_json(proc.stderr)
@@ -815,14 +866,8 @@ def test_help_exits_zero(capsys, argv):
 def test_usage_error_exit_status_of_module():
     """Through ``python -m dfqre.cli``, as the console script runs it:
     exit 1 with one usage record on stderr, and ``--help`` exits 0."""
-    src = str(Path(dfqre.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = [sys.executable, "-m", "dfqre.cli"]
-    proc = subprocess.run(run + ["estimate-physical", "--nlogical", "5"],
-                          capture_output=True, text=True, env=env)
+    proc = _run_module("estimate-physical", "--nlogical", "5")
     assert proc.returncode == 1 and proc.stdout == ""
     assert strict_json(proc.stderr)["error"] == "usage"
-    proc = subprocess.run(run + ["--help"], capture_output=True, text=True,
-                          env=env)
+    proc = _run_module("--help")
     assert proc.returncode == 0 and proc.stderr == ""

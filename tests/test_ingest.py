@@ -177,6 +177,27 @@ class TestParseIntegrals:
         assert again.core_energy == ints.core_energy
 
 
+BAD_MAGNITUDE = "magnitude must be a positive finite number"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ingest.Atom("Xx", (0.0, 0.0, 0.0)), "unknown element symbol 'Xx'"),
+    (lambda: ingest.Atom("H", (0.0, 0.0)), "bad coordinates (0.0, 0.0)"),
+    (lambda: ingest.Geometry("g", ()), "geometry has no atoms"),
+    (lambda: IntegralSet(0, 0.0, np.zeros((0, 0)), np.zeros((0, 0))),
+     "n_orb must be positive"),
+    (lambda: SyntheticSpec(0, 0), "n_orb must be positive"),
+    (lambda: SyntheticSpec(2, 1, magnitude=0.0), BAD_MAGNITUDE),
+    (lambda: SyntheticSpec(2, 1, magnitude=math.inf), BAD_MAGNITUDE),
+    (lambda: SyntheticSpec(2, 1, magnitude=math.nan), BAD_MAGNITUDE),
+], ids=["unknown-element", "two-coordinates", "no-atoms", "integrals-n-orb-0",
+        "synthetic-n-orb-0", "magnitude-0", "magnitude-inf", "magnitude-nan"])
+def test_constructor_refusal_message(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert type(err.value) is ValidationError and str(err.value) == message
+
+
 class TestIntegralSetInvariants:
     def test_asymmetric_h1_rejected(self):
         h1 = np.array([[0.0, 1.0], [0.0, 0.0]])

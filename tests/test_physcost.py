@@ -14,6 +14,7 @@ from dfqre.physcost import (CodeParams, QubitParams, _count_factories,
 QP = get_preset("qubit_gate_ns_e4")
 CODE = CodeParams()
 EPS_LOGICAL = 0.01 / 3
+ROUND_FS = 400_000_000  # QP's syndrome round, 4 * 50 + 2 * 100 ns, in fs
 # a logical share of 0.5 for the distance tests below
 HALF_LOGICAL = EstimationConfig(error_budget=0.95,
                                 budget_split=BudgetSplit(0.5, 0.25, 0.2))
@@ -141,13 +142,14 @@ class TestDesignFactories:
             _factory(_model(QP, CODE), 1e-95)
 
     def test_no_stage_distance_suppresses_clifford_error(self):
-        # one round reaches 1e-4, but no d <= 99 sizes its stage; twice, so
-        # the design cache neither swallows nor stores the error
-        near = QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3)
+        # one round reaches 1e-4, but no d <= 99 sizes its stage: the
+        # model holds no design, and every call raises
+        near = _model(QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3), CODE)
+        assert near.designs == {}
         for _ in range(2):
             with pytest.raises(FactoryBudgetError,
                                match="no stage distance suppresses"):
-                _factory(_model(near, CODE), 1e-4)
+                _factory(near, 1e-4)
 
     def test_unreachable_budget_raised_first(self):
         near = QubitParams("near", 50e-9, 100e-9, 9.9e-3, 9.9e-3)
@@ -159,6 +161,17 @@ class TestDesignFactories:
         one, same, two = (_factory(_model(QP, CODE), budget)
                           for budget in (1e-10, 2e-10, 1e-15))
         assert one is same and one is not two
+
+    def test_designs_built_with_the_model(self):
+        # whatever budget is priced first, the model already holds every
+        # design, and pricing never adds one
+        _model.cache_clear()
+        model = _model(QP, CODE)
+        assert _factory(model, 1e-10) is model.designs[1]
+        assert sorted(model.designs) == [1, 2, 3]
+        assert _factory(model, 1e-15) is model.designs[2]
+        assert _factory(model, 1e-40) is model.designs[3]
+        assert model.syndrome_round_fs == ROUND_FS
 
     def test_negative_zero_error_rate_is_zero(self):
         # -0.0 is stored as 0.0: it shares 0.0's cached design, and no
@@ -184,7 +197,7 @@ class TestCountFactories:
         # output period spans 14.4 cycles at distance 15
         ratio = design.duration_fs * 1e-15 / (QP.syndrome_round_time * 15)
         assert ratio == pytest.approx(14.4, rel=1e-9)
-        assert _count_factories(15, QP.syndrome_round_fs, design) == 15
+        assert _count_factories(15, ROUND_FS, design) == 15
 
     def test_short_duration_single_factory(self):
         design = _factory(_model(QP, CODE), 1e-10)
@@ -192,14 +205,14 @@ class TestCountFactories:
                             stage_distances=design.stage_distances,
                             qubits_per_factory=design.qubits_per_factory,
                             duration_fs=10**6, output_error=design.output_error)
-        assert _count_factories(15, QP.syndrome_round_fs, tiny) == 1
+        assert _count_factories(15, ROUND_FS, tiny) == 1
 
     def test_exact_integer_boundary(self):
         # 14.4 * 15 / 27 == 8 exactly; ceiling must not round it to 9
         design = _factory(_model(QP, CODE), 1e-15)
         assert design.stage_distances[-1] == 15
-        assert _count_factories(27, QP.syndrome_round_fs, design) == 8
-        assert _count_factories(15, QP.syndrome_round_fs, design) == 15
+        assert _count_factories(27, ROUND_FS, design) == 8
+        assert _count_factories(15, ROUND_FS, design) == 15
 
 
 class TestEstimatePhysical:

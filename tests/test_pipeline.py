@@ -279,7 +279,7 @@ class TestSharedPricing:
             "qubit_gate_ns_e4"), CodeParams(), EstimationConfig())
 
     def test_above_threshold_raises_every_call(self):
-        # the model keeps a flag, never the error
+        # the model keeps no ladder, never the error
         noisy = QubitParams("noisy", 50e-9, 100e-9, 0.02, 0.02)
         for _ in range(2):
             with pytest.raises(ValidationError,

@@ -399,6 +399,17 @@ class TestWalkOperator:
         with pytest.raises(ValidationError):
             build_walk_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), 2.0)
 
+    @pytest.mark.parametrize("ham, lam, message", [
+        (np.zeros((2, 3)), 1.0, "hamiltonian must be a square matrix"),
+        (np.zeros((2, 2)), 0.0, "lam must be positive and finite"),
+        (np.zeros((2, 2)), math.inf, "lam must be positive and finite"),
+        (np.zeros((2, 2)), math.nan, "lam must be positive and finite"),
+    ], ids=["2x3", "lam-0", "lam-inf", "lam-nan"])
+    def test_refusal_message(self, ham, lam, message):
+        with pytest.raises(ValidationError) as err:
+            build_walk_operator(ham, lam)
+        assert type(err.value) is ValidationError and str(err.value) == message
+
 
 class TestRunQpe:
     def test_dyadic_phase_exact(self):
@@ -429,6 +440,19 @@ class TestRunQpe:
         unitary = np.diag([1.0, -1.0])
         with pytest.raises(ValidationError):
             run_qpe(unitary, np.array([1.0, 1.0]), m=3, shots=10)
+
+    @pytest.mark.parametrize("unitary, state, m, shots, message", [
+        (np.zeros((2, 3)), np.ones(2), 3, 10,
+         "unitary must be a square matrix"),
+        (np.eye(2), np.ones(2), 0, 10, "phase bits must lie in [1, 20]"),
+        (np.eye(2), np.ones(2), 21, 10, "phase bits must lie in [1, 20]"),
+        (np.eye(2), np.ones(2), 3, 0, "shots must be positive"),
+        (np.eye(2), np.zeros(2), 3, 10, "state must be nonzero"),
+    ], ids=["2x3", "m-0", "m-21", "shots-0", "zero-state"])
+    def test_refusal_message(self, unitary, state, m, shots, message):
+        with pytest.raises(ValidationError) as err:
+            run_qpe(unitary, state, m=m, shots=shots)
+        assert type(err.value) is ValidationError and str(err.value) == message
 
     def test_rejects_oversize(self):
         unitary = np.eye(128)
