@@ -71,6 +71,13 @@ class DFLeaf:
         if (mags[1:] - mags[:-1]).max(initial=0.0) > 1e-15:
             raise ValidationError("leaf eigenvalues not sorted by magnitude")
 
+    @classmethod
+    def _unchecked(cls, **fields) -> "DFLeaf":
+        """A leaf whose fields its caller has already checked."""
+        leaf = object.__new__(cls)
+        leaf.__dict__.update(fields)
+        return leaf
+
     @property
     def n_eigs(self) -> int:
         return len(self.eigvals)
@@ -192,8 +199,9 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     n = integrals.n_orb
     iu, ju, w = _pair_indices(n)
 
-    weights, pair_vecs = np.linalg.eigh(
-        integrals.pairs * w[:, None] * w[None, :])
+    with np.errstate(over="ignore"):  # past the float range: refused below
+        weights, pair_vecs = np.linalg.eigh(
+            integrals.pairs * w[:, None] * w[None, :])
     if not np.isfinite(weights).all():
         raise NumericalError("non-finite stage-1 eigenvalues")
     if eps_target is not None:
@@ -217,22 +225,36 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     lead = np.argmax(mags > 1e-8 * mags.max(axis=2, keepdims=True), axis=2)
     flip = np.take_along_axis(rows_all, lead[..., None], axis=2) < 0
     rows_all = np.where(flip, -rows_all, rows_all)
+    del leaf_mats, vecs_all, mags  # room for the stacked Gram check below
 
     order, count, dropped = _truncate_by_magnitude(eigvals_all, tol_second)
     eigvals_all = np.take_along_axis(eigvals_all, order, axis=1)
     rows_all = np.take_along_axis(rows_all, order[..., None], axis=1)
+    # DFLeaf's vector checks, made once on the stack: the kept count and
+    # the magnitude order hold by construction
+    if not np.isfinite(rows_all).all():
+        finite = np.isfinite(rows_all).all(axis=(1, 2))
+        raise ValidationError(f"leaf {finite.argmin()} holds a non-finite value")
+    kept_rows = np.arange(n) < count[:, None]
+    gram = rows_all @ rows_all.transpose(0, 2, 1)
+    gram *= kept_rows[:, :, None] & kept_rows[:, None]  # the kept rows' Gram
+    gram.reshape(-1, n * n)[:, ::n + 1] -= kept_rows  # minus their identity
+    if np.abs(gram, out=gram).max(initial=0.0) > 1e-10:
+        raise ValidationError("leaf eigenvectors are not orthonormal")
     leaves = []
     for r, (c_r, k, d) in enumerate(zip(weights[kept].tolist(), count.tolist(),
                                         dropped.tolist())):
         # rank-1 update bound: || vLv^T - v'L'v'^T ||_2 <= 2 |c_r| ||dL||_F
         bound += 2.0 * abs(c_r) * d
-        leaves.append(DFLeaf(index=r, weight=c_r, eigvals=eigvals_all[r, :k],
-                             vecs=rows_all[r, :k]))
+        leaves.append(DFLeaf._unchecked(index=r, weight=c_r,
+                                        eigvals=eigvals_all[r, :k],
+                                        vecs=rows_all[r, :k]))
 
     table = _pair_numbers(n)  # (il|lj) gathered straight from the pairs
-    h_bar = integrals.h1 - 0.5 * np.einsum(
-        "ilj->ij", integrals.pairs[table[:, :, None], table[None]])
-    h_bar = (h_bar + h_bar.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        h_bar = integrals.h1 - 0.5 * np.einsum(
+            "ilj->ij", integrals.pairs[table[:, :, None], table[None]])
+        h_bar = (h_bar + h_bar.T) / 2.0
     if not np.isfinite(h_bar).all():
         raise NumericalError("h_bar past the float range")
     if not math.isfinite(bound):

@@ -493,10 +493,12 @@ def gen_synthetic(spec: SyntheticSpec) -> IntegralSet:
         for _ in range(spec.rank):
             a = rng.standard_normal((n, n))
             leaf = a + a.T
-            leaf /= np.linalg.norm(leaf)
+            flat = leaf.reshape(-1)
+            leaf /= math.sqrt(flat @ flat)  # the Frobenius norm, as numpy takes it
             # magnitudes bounded away from zero so the rank is unambiguous
             weight = scale * (0.5 + rng.random())
             if rng.random() < 0.5:
                 weight = -weight
-            pairs += weight * np.outer(leaf[iu, ju], leaf[iu, ju])
+            u = leaf[iu, ju]
+            pairs += weight * (u[:, None] * u)
     return IntegralSet(n_orb=n, core_energy=core, h1=h1, pairs=pairs)

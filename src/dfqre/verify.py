@@ -9,10 +9,12 @@ raise ``ResourceLimitError`` above ``FOCK_MAX_ORBITALS`` orbitals; phase
 estimation stops at ``QPE_MAX_DIM``. Both assemblers apply ladder
 operators to occupation bit strings with the signs of one Jordan-Wigner
 table, and form no sparse operator: each ladder-operator pair is
-tabulated once over whole arrays of states, and each chunk of terms is
-added with one ordered ``np.add.at``, in the order of the written sum.
-The equivalence check takes its spectral norm one (N_up, N_down) sector
-block at a time. These routines
+tabulated over whole arrays of states, and each chunk of terms is added
+with one ordered ``np.add.at``, in the order of the written sum. Every
+table that depends on n_orb alone is built once per size and cached
+read-only, and so is the layout of the (N_up, N_down) sector blocks: the
+factorized matrix is squared on that layout, and the equivalence check
+takes its spectral norm one sector block at a time. These routines
 certify the factorization and cost-model formulas; they are not
 simulators of the production circuits.
 """
@@ -75,11 +77,23 @@ def _spin_orbitals(n_orb: int) -> np.ndarray:
     return np.arange(2 * n_orb).reshape(2, n_orb).T
 
 
-def _sectors(n_orb: int) -> list[np.ndarray]:
-    """The basis indices of each (N_up, N_down) sector."""
+@functools.lru_cache(maxsize=None)
+def _sector_layout(n_orb: int) -> tuple[np.ndarray, tuple[tuple[slice, int], ...]]:
+    """Where the (N_up, N_down) sector blocks of a Fock matrix lie.
+
+    Returns the flat indices (row * dim + column) of every block's
+    entries, block after block and row-major within each, and for each
+    block the slice of those indices it owns and its side length.
+    """
     occupied, _ = _jordan_wigner_tables(2 * n_orb)
+    dim = occupied.shape[1]
     key = occupied[:n_orb].sum(axis=0) * (n_orb + 1) + occupied[n_orb:].sum(axis=0)
-    return [np.flatnonzero(key == k) for k in np.unique(key)]
+    sectors = [np.flatnonzero(key == k) for k in np.unique(key)]
+    index = np.concatenate([(s[:, None] * dim + s).reshape(-1) for s in sectors])
+    index.flags.writeable = False  # cached, shared
+    stops = np.cumsum([len(s) ** 2 for s in sectors]).tolist()
+    return index, tuple((slice(stop - len(s) ** 2, stop), len(s))
+                        for stop, s in zip(stops, sectors))
 
 
 def _dense(n_orb: int, core: float = 0.0) -> np.ndarray:
@@ -121,24 +135,13 @@ def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
-    """Add 1/2 sum_ijkl h2_ijkl sum_{sigma,rho} a+_{i,sigma} a+_{k,rho}
-    a_{l,rho} a_{j,sigma} to ``matrix``, in that written order.
-
-    Each factor pair is tabulated once, indexed [orbital, orbital, sigma,
-    rho, state]. The right one, a_{l,rho} a_{j,sigma}, is taken on the
-    quarter of the states where both spin-orbitals are occupied, and is
-    empty (sign zero) when they are the same one. The left one,
-    a+_{i,sigma} a+_{k,rho}, is taken on every state, one i slab at a
-    time, with sign zero where a creation fails. Each (i, j) chunk gathers
-    the left slab at the right factors' targets and is added with one
-    ordered scatter, in the order (k, l, sigma, rho, source state).
-    """
-    n = len(h2)
-    occupied, jw_sign = _jordan_wigner_tables(2 * n)
+@functools.lru_cache(maxsize=None)
+def _two_body_tables(n_orb: int) -> tuple[np.ndarray, ...]:
+    """The n_orb-only tables of ``_two_body``, built once, read-only."""
+    occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
     dim = occupied.shape[1]
-    a = _spin_orbitals(n)[:, None, :, None, None]  # (i or j, sigma)
-    b = _spin_orbitals(n)[None, :, None, :, None]  # (k or l, rho)
+    a = _spin_orbitals(n_orb)[:, None, :, None, None]  # (i or j, sigma)
+    b = _spin_orbitals(n_orb)[None, :, None, :, None]  # (k or l, rho)
 
     distinct = (a != b)[..., 0]
     both = occupied[a[..., 0]] & occupied[b[..., 0]]
@@ -153,6 +156,30 @@ def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
     raised = states | 1 << b  # a+_{k,rho} applied
     raised_sign = creation_sign[b, states]
     spins = np.arange(4).reshape(2, 2, 1) * dim
+    tables = src, r_tgt, r_sign, creation_sign, raised, raised_sign, spins
+    for table in tables:
+        table.flags.writeable = False  # cached, shared
+    return tables
+
+
+def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
+    """Add 1/2 sum_ijkl h2_ijkl sum_{sigma,rho} a+_{i,sigma} a+_{k,rho}
+    a_{l,rho} a_{j,sigma} to ``matrix``, in that written order.
+
+    Each factor pair is tabulated, indexed [orbital, orbital, sigma, rho,
+    state]. The right one, a_{l,rho} a_{j,sigma}, is taken on the quarter
+    of the states where both spin-orbitals are occupied, and is empty
+    (sign zero) when they are the same one; it is built once per n_orb,
+    with a+_{k,rho} on every state (``_two_body_tables``). The left one,
+    a+_{i,sigma} a+_{k,rho}, is taken on every state, one i slab at a
+    time, with sign zero where a creation fails. Each (i, j) chunk gathers
+    the left slab at the right factors' targets and is added with one
+    ordered scatter, in the order (k, l, sigma, rho, source state).
+    """
+    n, dim = len(h2), len(matrix)
+    src, r_tgt, r_sign, creation_sign, raised, raised_sign, spins = \
+        _two_body_tables(n)
+    a = _spin_orbitals(n)[:, None, :, None, None]  # (i, sigma)
     for i in range(n):
         l_tgt = (raised | 1 << a[i]).reshape(-1)
         l_sign = (raised_sign * creation_sign[a[i], raised]).reshape(-1)
@@ -181,17 +208,23 @@ def fock_matrix_of_decomposition(df: DFDecomposition) -> FockMatrix:
     """Fock-space matrix of the factorized Hamiltonian, assembled as
     written: the core energy, the hbar one-body term and
     1/2 sum_r c_r O_r^2 over the one-body leaf operators O_r. Each O_r
-    conserves both spin counts, so it is squared sector block by block.
+    conserves both spin counts, so it is squared sector block by block,
+    into one flat copy of the matrix's sector entries.
     """
-    matrix = _one_body(_dense(df.n_orb, df.core_energy), df.h_bar)
-    blocks = [np.ix_(s, s) for s in _sectors(df.n_orb)]
-    op = _dense(df.n_orb)
+    n = df.n_orb
+    matrix = _one_body(_dense(n, df.core_energy), df.h_bar)
+    index, blocks = _sector_layout(n)
+    squares = matrix.reshape(-1)[index]
+    op = _dense(n)
+    op_entries = op.reshape(-1)
     for leaf in df.leaves:
         _one_body(op, leaf.matrix())
-        for block in blocks:  # O_r lies in the blocks: clearing them zeroes it
-            sub, op[block] = op[block], 0.0
-            matrix[block] += 0.5 * leaf.weight * (sub @ sub)
-    return FockMatrix(n_orb=df.n_orb, matrix=matrix)
+        for block, size in blocks:
+            sub = op_entries[index[block]].reshape(size, size)
+            squares[block] += (0.5 * leaf.weight * (sub @ sub)).reshape(-1)
+        op_entries[index] = 0.0  # O_r lies in the blocks: this zeroes it
+    matrix.reshape(-1)[index] = squares
+    return FockMatrix(n_orb=n, matrix=matrix)
 
 
 def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
@@ -207,8 +240,11 @@ def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
         raise ValidationError("orbital count mismatch between inputs")
     diff = build_fock_matrix(integrals).matrix
     diff -= fock_matrix_of_decomposition(df).matrix
-    return max(float(np.abs(np.linalg.eigvalsh(diff[np.ix_(s, s)])).max())
-               for s in _sectors(df.n_orb))
+    index, blocks = _sector_layout(df.n_orb)
+    entries = diff.reshape(-1)
+    return max(float(np.abs(np.linalg.eigvalsh(
+        entries[index[block]].reshape(size, size))).max())
+        for block, size in blocks)
 
 
 # ---------------------------------------------------------------------------

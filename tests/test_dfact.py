@@ -11,7 +11,7 @@ from conftest import integral_set, pair_residual, stage1_matrix
 from dfqre.dfact import (ZERO_EIG_RTOL, DFDecomposition, DFLeaf,
                          _truncate_by_magnitude, choose_tolerances, factorize,
                          lambda_norms, qpe_energy_offset, reconstruct)
-from dfqre.errors import ParseError, ValidationError
+from dfqre.errors import NumericalError, ParseError, ValidationError
 from dfqre.ingest import IntegralSet, SyntheticSpec, gen_synthetic, \
     parse_integrals, serialize_integrals
 
@@ -166,6 +166,40 @@ def test_leaf_fault_messages(change, message):
 def test_leaf_checks_accept(change):
     leaf = DFLeaf(**{**GOOD_LEAF, **change})
     assert leaf.n_eigs == len(leaf.eigvals)
+
+
+@pytest.mark.parametrize("where, factor, message", [
+    (np.s_[0, :, -1], 1.5, "leaf eigenvectors are not orthonormal"),
+    (np.s_[1, 0, -1], math.nan, "leaf 1 holds a non-finite value"),
+], ids=["not-orthonormal", "nan"])
+def test_factorize_checks_stacked_leaf_vectors(where, factor, message,
+                                               monkeypatch):
+    """``factorize`` makes DFLeaf's vector checks once, on the stack of
+    stage-2 eigenvectors, and refuses a faulty one as DFLeaf does."""
+    eigh = np.linalg.eigh
+
+    def faulty_eigh(matrices):
+        vals, vecs = eigh(matrices)
+        if vecs.ndim == 3:  # the batched stage-2 call; column -1 is kept
+            vecs = vecs.copy()
+            vecs[where] *= factor
+        return vals, vecs
+    monkeypatch.setattr(np.linalg, "eigh", faulty_eigh)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        factorize(make_set(3, 4, seed=2))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("NORB 2\n1e308 1 2 1 2\n", "non-finite stage-1 eigenvalues"),
+    ("NORB 1\n1.5e308 1 1 0 0\n-1.5e308 1 1 1 1\n",
+     "h_bar past the float range"),
+], ids=["pairs", "h-bar"])
+def test_factorize_overflow_refused_without_warning(text, message):
+    """Called from Python, past-the-float-range integrals raise the
+    refusal alone: the ``filterwarnings`` rule turns any numpy warning on
+    the way into a failure."""
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        factorize(parse_integrals(text))
 
 
 class TestFactorize:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 import dfqre
 from conftest import integral_set
 from dfqre import verify
-from dfqre.dfact import DFDecomposition, factorize, lambda_norms, \
+from dfqre.dfact import DFDecomposition, DFLeaf, factorize, lambda_norms, \
     qpe_energy_offset
 from dfqre.errors import ResourceLimitError, ValidationError
 from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals
@@ -128,6 +129,26 @@ def reference_one_body(matrix, mat):
         src, dst, sign = ladder(i + shift, True, *ladder(
             j + shift, False, states, states, np.ones(dim)))
         matrix.reshape(-1)[dst * dim + src] += mat[i, j] * sign
+    return matrix
+
+
+def reference_sector_squares(df):
+    """The per-leaf, per-sector ``np.ix_`` loop the flat sector layout
+    replaced, kept as the oracle for its matrix: each (N_up, N_down) block
+    of O_r is gathered, cleared, squared and added into the matrix's own
+    block, one block at a time."""
+    n = df.n_orb
+    bits = (np.arange(1 << 2 * n)[:, None] >> np.arange(2 * n)) & 1
+    key = bits[:, :n].sum(axis=1) * (n + 1) + bits[:, n:].sum(axis=1)
+    blocks = [np.ix_(s, s) for s in (np.flatnonzero(key == k)
+                                     for k in np.unique(key))]
+    matrix = verify._one_body(verify._dense(n, df.core_energy), df.h_bar)
+    op = verify._dense(n)
+    for leaf in df.leaves:
+        verify._one_body(op, leaf.matrix())
+        for block in blocks:
+            sub, op[block] = op[block], 0.0
+            matrix[block] += 0.5 * leaf.weight * (sub @ sub)
     return matrix
 
 
@@ -328,6 +349,20 @@ class TestDfEquivalence:
                 expected = fock_matrix_of_decomposition(df)
             assert np.array_equal(fock.matrix, expected.matrix)
 
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_matches_sector_squares(self, n_orb):
+        full = n_orb * (n_orb + 1) // 2
+        ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
+                                           seed=70 + n_orb))
+        cases = [factorize(ints, tol, tol) for tol in (0.0, 1e-2)]
+        # a leaf with no eigenpairs squares to zero in every block
+        empty = DFLeaf(index=full - 1, weight=-0.75, eigvals=np.zeros(0),
+                       vecs=np.zeros((0, n_orb)))
+        cases.append(replace(cases[0], leaves=cases[0].leaves[:-1] + (empty,)))
+        for df in cases:
+            assert np.array_equal(fock_matrix_of_decomposition(df).matrix,
+                                  reference_sector_squares(df))
+
     def test_decomposition_size_cap(self):
         # the factorized assembler shares the raw assembler's cap
         df = factorize(gen_synthetic(SyntheticSpec(n_orb=7, rank=2, seed=8)))
@@ -358,6 +393,36 @@ class TestDfEquivalence:
         df = factorize(gen_synthetic(SyntheticSpec(n_orb=3, rank=1, seed=7)))
         with pytest.raises(ValidationError):
             check_df_equivalence(ints, df)
+
+
+@pytest.mark.parametrize("n_orb", [1, 2, 3])
+def test_fock_tables_are_shared_and_read_only(n_orb):
+    """Each n_orb's two-body ladder tables and sector layout are built
+    once: every caller gets the same arrays, and writing to them raises."""
+    tables = verify._two_body_tables(n_orb)
+    index, blocks = verify._sector_layout(n_orb)
+    assert all(a is b for a, b in zip(verify._two_body_tables(n_orb), tables))
+    assert verify._sector_layout(n_orb)[0] is index
+    # the blocks tile the index in order, and each is one (N_up, N_down)
+    # sector's states, ascending, row-major: every state lies in one block
+    dim = 1 << 2 * n_orb
+    bits = (np.arange(dim)[:, None] >> np.arange(2 * n_orb)) & 1
+    spins = np.stack([bits[:, :n_orb].sum(axis=1), bits[:, n_orb:].sum(axis=1)])
+    assert [block.start for block, _ in blocks] == \
+        [0] + [block.stop for block, _ in blocks][:-1]
+    assert blocks[-1][0].stop == len(index)
+    diagonal = []
+    for block, size in blocks:
+        states = index[block][::size + 1] % dim
+        assert np.array_equal(index[block], (states[:, None] * dim
+                                             + states).reshape(-1))
+        assert np.all(np.diff(states) > 0)
+        assert np.all(spins[:, states] == spins[:, states[:1]])
+        diagonal.append(states)
+    assert np.array_equal(np.sort(np.concatenate(diagonal)), np.arange(dim))
+    for array in tables + (index,):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
 
 
 class TestWalkOperator:
