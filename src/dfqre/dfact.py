@@ -159,7 +159,8 @@ def _truncate_by_magnitude(spectra: np.ndarray, tol: float
     |eigenvalue| descending. Returns (order, count, discarded absolute mass).
     """
     order = np.argsort(-np.abs(spectra), axis=1, kind="stable")
-    mags = np.abs(np.take_along_axis(spectra, order, axis=1))
+    rows = np.arange(len(spectra))
+    mags = np.abs(spectra[rows[:, None], order])
     count = (mags > ZERO_EIG_RTOL * mags[:, :1]).sum(axis=1)
     n_zero = mags.shape[1] - count
     discarded = np.zeros(len(mags))
@@ -171,8 +172,8 @@ def _truncate_by_magnitude(spectra: np.ndarray, tol: float
         zero = np.arange(mags.shape[1]) < n_zero[:, None]
         used = np.cumsum(np.where(zero, 0.0, mags[:, ::-1]), axis=1)
         n_drop = (used <= tol).sum(axis=1) - n_zero
-        last = np.take_along_axis(used, (n_zero + n_drop - 1)[:, None], axis=1)
-        discarded += np.where(n_drop > 0, last[:, 0], 0.0)
+        last = used[rows, n_zero + n_drop - 1]
+        discarded += np.where(n_drop > 0, last, 0.0)
         count -= n_drop
     return order, count, discarded
 
@@ -223,13 +224,13 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     rows_all = vecs_all.transpose(0, 2, 1)
     mags = np.abs(rows_all)
     lead = np.argmax(mags > 1e-8 * mags.max(axis=2, keepdims=True), axis=2)
-    flip = np.take_along_axis(rows_all, lead[..., None], axis=2) < 0
-    rows_all = np.where(flip, -rows_all, rows_all)
+    leaf = np.arange(len(kept))[:, None]  # the leaf axis of per-leaf gathers
+    flip = rows_all[leaf, np.arange(n), lead] < 0
+    rows_all = np.where(flip[..., None], -rows_all, rows_all)
     del leaf_mats, vecs_all, mags  # room for the stacked Gram check below
 
     order, count, dropped = _truncate_by_magnitude(eigvals_all, tol_second)
-    eigvals_all = np.take_along_axis(eigvals_all, order, axis=1)
-    rows_all = np.take_along_axis(rows_all, order[..., None], axis=1)
+    eigvals_all, rows_all = eigvals_all[leaf, order], rows_all[leaf, order]
     # DFLeaf's vector checks, made once on the stack: the kept count and
     # the magnitude order hold by construction
     if not np.isfinite(rows_all).all():

@@ -9,19 +9,20 @@ raise ``ResourceLimitError`` above ``FOCK_MAX_ORBITALS`` orbitals; phase
 estimation stops at ``QPE_MAX_DIM``. Both assemblers apply ladder
 operators to occupation bit strings with the signs of one Jordan-Wigner
 table, and form no sparse operator: each ladder-operator pair is
-tabulated over whole arrays of states, and each chunk of terms is added
-with one ordered ``np.add.at``, in the order of the written sum. Every
-table that depends on n_orb alone is built once per size and cached
-read-only, and so is the layout of the (N_up, N_down) sector blocks: the
-factorized matrix is squared on that layout, and the equivalence check
-takes its spectral norm one sector block at a time. These routines
-certify the factorization and cost-model formulas; they are not
-simulators of the production circuits.
+tabulated over whole arrays of states, and each chunk of terms (of the
+two-body sum, up to ``CHUNK_ENTRIES``) is added in the written order
+with one ``np.add.at``. Every table that depends on n_orb alone is built
+once per size and cached read-only, and so is the layout of the (N_up,
+N_down) sector blocks, by side length: the factorized matrix is squared,
+and the equivalence check takes its norm, one stack of same-size blocks
+per numpy call. These routines certify the factorization and cost-model
+formulas; they are not simulators of the production circuits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ from .ingest import IntegralSet
 FOCK_MAX_ORBITALS = 6
 QPE_MAX_DIM = 64
 QPE_MAX_BITS = 20
+# Most terms in one two-body scatter, and most entries in one stack of sector
+# blocks (or one larger block): past numpy's per-call cost, within cache
+CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -72,28 +76,43 @@ def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
     return occupied, sign
 
 
-def _spin_orbitals(n_orb: int) -> np.ndarray:
-    """Spin-orbital of (orbital, spin): orbital + spin * n_orb."""
-    return np.arange(2 * n_orb).reshape(2, n_orb).T
+@functools.lru_cache(maxsize=None)
+def _one_body_tables(n_orb: int) -> tuple[np.ndarray, ...]:
+    """The n_orb-only tables of ``_one_body``, built once, read-only: the
+    spin-orbital of (orbital, spin), orbital + spin * n_orb; a+_p's sign
+    on every state, zero where p is occupied; and the states where each
+    spin-orbital is occupied."""
+    occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
+    tables = (np.arange(2 * n_orb).reshape(2, n_orb).T, jw_sign * ~occupied,
+              np.nonzero(occupied)[1].reshape(2 * n_orb, -1))
+    for table in tables:
+        table.flags.writeable = False  # cached, shared
+    return tables
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_layout(n_orb: int) -> tuple[np.ndarray, tuple[tuple[slice, int], ...]]:
+def _sector_layout(n_orb: int) -> tuple[np.ndarray, tuple]:
     """Where the (N_up, N_down) sector blocks of a Fock matrix lie.
 
     Returns the flat indices (row * dim + column) of every block's
-    entries, block after block and row-major within each, and for each
-    block the slice of those indices it owns and its side length.
+    entries, row-major, the blocks by side length; and each stack of
+    blocks of one side (``CHUNK_ENTRIES`` entries or one block at most)
+    as its slice of those indices and its shape (count, side, side).
     """
     occupied, _ = _jordan_wigner_tables(2 * n_orb)
     dim = occupied.shape[1]
     key = occupied[:n_orb].sum(axis=0) * (n_orb + 1) + occupied[n_orb:].sum(axis=0)
-    sectors = [np.flatnonzero(key == k) for k in np.unique(key)]
+    sectors = sorted((np.flatnonzero(key == k) for k in np.unique(key)), key=len)
     index = np.concatenate([(s[:, None] * dim + s).reshape(-1) for s in sectors])
     index.flags.writeable = False  # cached, shared
-    stops = np.cumsum([len(s) ** 2 for s in sectors]).tolist()
-    return index, tuple((slice(stop - len(s) ** 2, stop), len(s))
-                        for stop, s in zip(stops, sectors))
+    stacks, stop = [], 0
+    for side, same in itertools.groupby(map(len, sectors)):
+        count, per = len(list(same)), max(1, CHUNK_ENTRIES // side**2)
+        for first in range(0, count, per):
+            shape = (min(per, count - first), side, side)
+            stacks.append((slice(stop, stop + math.prod(shape)), shape))
+            stop += math.prod(shape)
+    return index, tuple(stacks)
 
 
 def _dense(n_orb: int, core: float = 0.0) -> np.ndarray:
@@ -107,31 +126,25 @@ def _dense(n_orb: int, core: float = 0.0) -> np.ndarray:
     return matrix
 
 
-def _scatter(matrix: np.ndarray, entry, coeff, sign) -> None:
-    """Add coeff * sign to the flat ``entry`` (dst * dim + src) of
-    ``matrix`` wherever sign is nonzero. ``np.add.at`` applies repeated
-    entries one after another in array order, so every entry sums its
-    terms in the order listed."""
-    keep = sign != 0.0
-    np.add.at(matrix.reshape(-1), entry[keep], (coeff * sign)[keep])
-
-
 def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``,
     ordered by nonzero (i, j), then spin, then source state."""
-    n = len(mat)
-    occupied, jw_sign = _jordan_wigner_tables(2 * n)
+    orbitals, creation_sign, occupied_src = _one_body_tables(len(mat))
+    _, jw_sign = _jordan_wigner_tables(2 * len(mat))
     i, j = np.nonzero(mat != 0.0)
-    created, lowered = (_spin_orbitals(n)[o][..., None] for o in (i, j))
+    created, lowered = orbitals[i][..., None], orbitals[j][..., None]
     # a_{j,sigma} on the states where it is occupied, then a+_{i,sigma}
-    src = np.nonzero(occupied)[1].reshape(2 * n, -1)[lowered[..., 0]]
+    src = occupied_src[lowered[..., 0]]
     dst = src ^ 1 << lowered
     sign = jw_sign[lowered, src]
-    sign *= (jw_sign * ~occupied)[created, dst]  # zero where i is occupied
+    sign *= creation_sign[created, dst]  # zero where i is occupied
+    keep = sign != 0.0
+    sign *= mat[i, j][:, None, None]
     dst |= 1 << created
+    dst = dst[keep]
     dst *= len(matrix)
-    dst += src
-    _scatter(matrix, dst, mat[i, j][:, None, None], sign)
+    dst += src[keep]
+    np.add.at(matrix.reshape(-1), dst, sign[keep])
     return matrix
 
 
@@ -139,9 +152,10 @@ def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def _two_body_tables(n_orb: int) -> tuple[np.ndarray, ...]:
     """The n_orb-only tables of ``_two_body``, built once, read-only."""
     occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
+    orbitals, creation_sign, *_ = _one_body_tables(n_orb)
     dim = occupied.shape[1]
-    a = _spin_orbitals(n_orb)[:, None, :, None, None]  # (i or j, sigma)
-    b = _spin_orbitals(n_orb)[None, :, None, :, None]  # (k or l, rho)
+    a = orbitals[:, None, :, None, None]  # (i or j, sigma)
+    b = orbitals[None, :, None, :, None]  # (k or l, rho)
 
     distinct = (a != b)[..., 0]
     both = occupied[a[..., 0]] & occupied[b[..., 0]]
@@ -152,11 +166,10 @@ def _two_body_tables(n_orb: int) -> tuple[np.ndarray, ...]:
     r_sign = jw_sign[a, src] * jw_sign[b, mid] * distinct[..., None]
 
     states = np.arange(dim)
-    creation_sign = jw_sign * ~occupied  # a+_p's sign, zero where p is occupied
     raised = states | 1 << b  # a+_{k,rho} applied
     raised_sign = creation_sign[b, states]
     spins = np.arange(4).reshape(2, 2, 1) * dim
-    tables = src, r_tgt, r_sign, creation_sign, raised, raised_sign, spins
+    tables = src, r_tgt, r_sign, raised, raised_sign, spins
     for table in tables:
         table.flags.writeable = False  # cached, shared
     return tables
@@ -172,23 +185,33 @@ def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
     (sign zero) when they are the same one; it is built once per n_orb,
     with a+_{k,rho} on every state (``_two_body_tables``). The left one,
     a+_{i,sigma} a+_{k,rho}, is taken on every state, one i slab at a
-    time, with sign zero where a creation fails. Each (i, j) chunk gathers
-    the left slab at the right factors' targets and is added with one
-    ordered scatter, in the order (k, l, sigma, rho, source state).
+    time, with sign zero where a creation fails. Runs of one i's nonzero
+    (j, k, l) gather the left slab at the right factors' targets; each run
+    of up to ``CHUNK_ENTRIES`` (j, k, l, sigma, rho, state) terms, less its
+    zero-sign ones, is one ordered scatter: one per i up to n_orb = 4.
     """
     n, dim = len(h2), len(matrix)
-    src, r_tgt, r_sign, creation_sign, raised, raised_sign, spins = \
-        _two_body_tables(n)
-    a = _spin_orbitals(n)[:, None, :, None, None]  # (i, sigma)
+    src, r_tgt, r_sign, raised, raised_sign, spins = _two_body_tables(n)
+    orbitals, creation_sign, *_ = _one_body_tables(n)
+    a = orbitals[:, None, :, None, None]  # (i, sigma)
+    run = max(1, CHUNK_ENTRIES // dim)  # each (j, k, l) has dim terms
     for i in range(n):
         l_tgt = (raised | 1 << a[i]).reshape(-1)
         l_sign = (raised_sign * creation_sign[a[i], raised]).reshape(-1)
-        for j in range(n):
-            coeff = 0.5 * h2[i, j]
-            k, l = np.nonzero(coeff != 0.0)
-            at = (k[:, None, None, None] * 4 * dim + spins) + r_tgt[j, l]
-            _scatter(matrix, l_tgt[at] * dim + src[j, l],
-                     coeff[k, l][:, None, None, None], l_sign[at] * r_sign[j, l])
+        coeff = 0.5 * h2[i]
+        terms = np.nonzero(coeff != 0.0)
+        for start in range(0, len(terms[0]), run):
+            j, k, l = (t[start:start + run] for t in terms)
+            at = r_tgt[j, l]
+            at += k[:, None, None, None] * (4 * dim) + spins
+            sign = l_sign[at]
+            sign *= r_sign[j, l]
+            keep = sign != 0.0
+            sign *= coeff[j, k, l][:, None, None, None]
+            entry = l_tgt[at[keep]]
+            entry *= dim
+            entry += src[j, l][keep]
+            np.add.at(matrix.reshape(-1), entry, sign[keep])
 
 
 def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
@@ -208,20 +231,21 @@ def fock_matrix_of_decomposition(df: DFDecomposition) -> FockMatrix:
     """Fock-space matrix of the factorized Hamiltonian, assembled as
     written: the core energy, the hbar one-body term and
     1/2 sum_r c_r O_r^2 over the one-body leaf operators O_r. Each O_r
-    conserves both spin counts, so it is squared sector block by block,
-    into one flat copy of the matrix's sector entries.
+    conserves both spin counts, so it is squared on the sector layout,
+    one stacked ``sub @ sub`` per stack of same-size blocks (block by
+    block, as one product each), into one flat copy of its entries.
     """
     n = df.n_orb
     matrix = _one_body(_dense(n, df.core_energy), df.h_bar)
-    index, blocks = _sector_layout(n)
+    index, stacks = _sector_layout(n)
     squares = matrix.reshape(-1)[index]
     op = _dense(n)
     op_entries = op.reshape(-1)
     for leaf in df.leaves:
         _one_body(op, leaf.matrix())
-        for block, size in blocks:
-            sub = op_entries[index[block]].reshape(size, size)
-            squares[block] += (0.5 * leaf.weight * (sub @ sub)).reshape(-1)
+        for stack, shape in stacks:
+            sub = op_entries[index[stack]].reshape(shape)
+            squares[stack] += (0.5 * leaf.weight * (sub @ sub)).reshape(-1)
         op_entries[index] = 0.0  # O_r lies in the blocks: this zeroes it
     matrix.reshape(-1)[index] = squares
     return FockMatrix(n_orb=n, matrix=matrix)
@@ -234,17 +258,18 @@ def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
     correction formula and the spin handling; values above ~1e-9 indicate
     a broken identity (or a truncated input). Both Hamiltonians conserve
     N_up and N_down, so the difference has no entry between sectors and
-    its norm is exactly the largest over the (N_up, N_down) blocks.
+    its norm is exactly the largest over the blocks, one stacked
+    ``eigvalsh`` per stack of same-size blocks.
     """
     if integrals.n_orb != df.n_orb:
         raise ValidationError("orbital count mismatch between inputs")
     diff = build_fock_matrix(integrals).matrix
     diff -= fock_matrix_of_decomposition(df).matrix
-    index, blocks = _sector_layout(df.n_orb)
+    index, stacks = _sector_layout(df.n_orb)
     entries = diff.reshape(-1)
     return max(float(np.abs(np.linalg.eigvalsh(
-        entries[index[block]].reshape(size, size))).max())
-        for block, size in blocks)
+        entries[index[stack]].reshape(shape))).max())
+        for stack, shape in stacks)
 
 
 # ---------------------------------------------------------------------------

@@ -132,16 +132,21 @@ def reference_one_body(matrix, mat):
     return matrix
 
 
+def sector_blocks(n_orb):
+    """``np.ix_`` of every (N_up, N_down) sector, by ascending key."""
+    bits = (np.arange(1 << 2 * n_orb)[:, None] >> np.arange(2 * n_orb)) & 1
+    key = bits[:, :n_orb].sum(axis=1) * (n_orb + 1) + bits[:, n_orb:].sum(axis=1)
+    return [np.ix_(s, s) for s in (np.flatnonzero(key == k)
+                                   for k in np.unique(key))]
+
+
 def reference_sector_squares(df):
     """The per-leaf, per-sector ``np.ix_`` loop the flat sector layout
     replaced, kept as the oracle for its matrix: each (N_up, N_down) block
     of O_r is gathered, cleared, squared and added into the matrix's own
     block, one block at a time."""
     n = df.n_orb
-    bits = (np.arange(1 << 2 * n)[:, None] >> np.arange(2 * n)) & 1
-    key = bits[:, :n].sum(axis=1) * (n + 1) + bits[:, n:].sum(axis=1)
-    blocks = [np.ix_(s, s) for s in (np.flatnonzero(key == k)
-                                     for k in np.unique(key))]
+    blocks = sector_blocks(n)
     matrix = verify._one_body(verify._dense(n, df.core_energy), df.h_bar)
     op = verify._dense(n)
     for leaf in df.leaves:
@@ -150,6 +155,17 @@ def reference_sector_squares(df):
             sub, op[block] = op[block], 0.0
             matrix[block] += 0.5 * leaf.weight * (sub @ sub)
     return matrix
+
+
+def reference_block_deviation(integrals, df):
+    """The one-block-at-a-time norm that the stacked ``eigvalsh`` replaced,
+    kept as the oracle for its value: the largest |eigenvalue| of the raw
+    minus the factorized matrix over the (N_up, N_down) blocks, one
+    ``eigvalsh`` per block."""
+    diff = build_fock_matrix(integrals).matrix
+    diff -= fock_matrix_of_decomposition(df).matrix
+    return max(float(np.abs(np.linalg.eigvalsh(diff[block])).max())
+               for block in sector_blocks(df.n_orb))
 
 
 def reference_df_deviation(integrals, df):
@@ -388,6 +404,21 @@ class TestDfEquivalence:
     def test_negative_control_missing_correction(self):
         assert check_df_equivalence(*missing_correction_control()) > 1e-3
 
+    @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
+    def test_stacked_norm_matches_per_block(self, n_orb):
+        full = n_orb * (n_orb + 1) // 2
+        ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
+                                           seed=80 + n_orb))
+        for tol in (0.0, 1e-2):
+            df = factorize(ints, tol, tol)
+            assert check_df_equivalence(ints, df) == \
+                reference_block_deviation(ints, df)
+
+    def test_stacked_norm_matches_per_block_on_control(self):
+        control = missing_correction_control()
+        assert check_df_equivalence(*control) == \
+            reference_block_deviation(*control)
+
     def test_dimension_mismatch(self):
         ints = gen_synthetic(SyntheticSpec(n_orb=2, rank=1, seed=7))
         df = factorize(gen_synthetic(SyntheticSpec(n_orb=3, rank=1, seed=7)))
@@ -395,34 +426,95 @@ class TestDfEquivalence:
             check_df_equivalence(ints, df)
 
 
-@pytest.mark.parametrize("n_orb", [1, 2, 3])
+@pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
 def test_fock_tables_are_shared_and_read_only(n_orb):
-    """Each n_orb's two-body ladder tables and sector layout are built
-    once: every caller gets the same arrays, and writing to them raises."""
-    tables = verify._two_body_tables(n_orb)
-    index, blocks = verify._sector_layout(n_orb)
-    assert all(a is b for a, b in zip(verify._two_body_tables(n_orb), tables))
+    """Each n_orb's ladder tables and sector layout are built once: every
+    caller gets the same arrays, and writing to them raises."""
+    def tables():
+        return verify._one_body_tables(n_orb) + verify._two_body_tables(n_orb)
+
+    index, stacks = verify._sector_layout(n_orb)
+    assert all(a is b for a, b in zip(tables(), tables()))
     assert verify._sector_layout(n_orb)[0] is index
-    # the blocks tile the index in order, and each is one (N_up, N_down)
-    # sector's states, ascending, row-major: every state lies in one block
+    # the stacks tile the index in order, each of whole blocks of one side
+    # length, in ascending side length
+    assert [stack.start for stack, _ in stacks] == \
+        [0] + [stack.stop for stack, _ in stacks][:-1]
+    assert stacks[-1][0].stop == len(index)
+    sides = [side for _, (_, side, _) in stacks]
+    assert sides == sorted(sides)
+    # each block is one whole (N_up, N_down) sector: its states ascending,
+    # its entries row-major; the blocks hold every state exactly once
     dim = 1 << 2 * n_orb
     bits = (np.arange(dim)[:, None] >> np.arange(2 * n_orb)) & 1
     spins = np.stack([bits[:, :n_orb].sum(axis=1), bits[:, n_orb:].sum(axis=1)])
-    assert [block.start for block, _ in blocks] == \
-        [0] + [block.stop for block, _ in blocks][:-1]
-    assert blocks[-1][0].stop == len(index)
     diagonal = []
-    for block, size in blocks:
-        states = index[block][::size + 1] % dim
-        assert np.array_equal(index[block], (states[:, None] * dim
-                                             + states).reshape(-1))
-        assert np.all(np.diff(states) > 0)
-        assert np.all(spins[:, states] == spins[:, states[:1]])
-        diagonal.append(states)
+    for stack, (count, side, columns) in stacks:
+        assert columns == side and stack.stop - stack.start == count * side**2
+        assert count == 1 or count * side**2 <= verify.CHUNK_ENTRIES
+        for block in index[stack].reshape(count, side**2):
+            states = block[::side + 1] % dim
+            assert np.array_equal(block, (states[:, None] * dim
+                                          + states).reshape(-1))
+            sector = (spins == spins[:, states[:1]]).all(axis=0)
+            assert np.array_equal(states, np.flatnonzero(sector))
+            diagonal.append(states)
     assert np.array_equal(np.sort(np.concatenate(diagonal)), np.arange(dim))
-    for array in tables + (index,):
+    for array in tables() + (index,):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
+
+
+def build_logging_two_body_scatters(monkeypatch, integrals):
+    """``build_fock_matrix`` with verify's ``np.add.at`` wrapped: returns
+    the matrix and the term count of each scatter ``_two_body`` made."""
+    sizes, inside = [], []
+
+    class Add:
+        def at(self, array, indices, values):
+            if inside:
+                sizes.append(np.size(indices))
+            np.add.at(array, indices, values)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    def two_body(matrix, h2):
+        inside.append(True)
+        try:
+            unpatched(matrix, h2)
+        finally:
+            inside.clear()
+
+    unpatched = verify._two_body
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "np", Numpy())
+        patch.setattr(verify, "_two_body", two_body)
+        return build_fock_matrix(integrals).matrix, sizes
+
+
+@pytest.mark.parametrize("n_orb", [1, 2, 3])
+def test_two_body_one_scatter_per_orbital(n_orb, monkeypatch):
+    # every (j, k, l) term of one i in one scatter: at most n_orb scatters
+    rng = np.random.default_rng(90 + n_orb)
+    ints = raw_integrals(n_orb, 0.3, rng.standard_normal((n_orb,) * 2),
+                         rng.standard_normal((n_orb,) * 4))
+    matrix, sizes = build_logging_two_body_scatters(monkeypatch, ints)
+    assert 1 <= len(sizes) <= n_orb
+    assert np.array_equal(matrix, build_fock_matrix(ints).matrix)
+
+
+@pytest.mark.parametrize("n_orb", [5, 6])
+def test_two_body_scatters_bounded(n_orb, monkeypatch):
+    rng = np.random.default_rng(90 + n_orb)
+    ints = raw_integrals(n_orb, 0.3, rng.standard_normal((n_orb,) * 2),
+                         rng.standard_normal((n_orb,) * 4))
+    _, sizes = build_logging_two_body_scatters(monkeypatch, ints)
+    assert 0 < max(sizes) <= verify.CHUNK_ENTRIES
+    assert len(sizes) > n_orb  # the cap splits each i's terms
 
 
 class TestWalkOperator:
