@@ -31,9 +31,9 @@ ZERO_EIG_RTOL = 1e-12
 
 # Spin multiplicity factor entering lambda_V. Each squared one-body factor
 # sums over both spin sectors (2 per factor, 4 for the square) and the 1/2
-# prefactor of the two-body term leaves 8/4 = 2; the factor is pinned by
-# the Fock-space bound oracle in the verification module, which it makes
-# tight on one-orbital inputs.
+# prefactor of the two-body term leaves 8/4 = 2. It is pinned against spectra
+# of verify.build_fock_matrix by tests/test_dfact.py::TestLambdaNorms, tight in
+# test_tight_on_one_orbital, a bound in test_upper_bounds_shifted_spectrum.
 SPIN_SQUARE_FACTOR = 8.0
 
 

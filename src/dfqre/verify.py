@@ -6,17 +6,16 @@ Everything here works on the full occupation-number space of dimension
 4^n_orb, so it is deliberately capped at small sizes: both Fock-space
 assemblers (raw integrals, decomposition), and so the equivalence check,
 raise ``ResourceLimitError`` above ``FOCK_MAX_ORBITALS`` orbitals; phase
-estimation stops at ``QPE_MAX_DIM``. Both assemblers apply ladder
-operators to occupation bit strings with the signs of one Jordan-Wigner
-table, and form no sparse operator: each ladder-operator pair is
-tabulated over whole arrays of states, and each chunk of terms (of the
-two-body sum, up to ``CHUNK_ENTRIES``) is added in the written order
-with one ``np.add.at``. Every table that depends on n_orb alone is built
-once per size and cached read-only, and so is the layout of the (N_up,
-N_down) sector blocks, by side length: the factorized matrix is squared,
-and the equivalence check takes its norm, one stack of same-size blocks
-per numpy call. These routines certify the factorization and cost-model
-formulas; they are not simulators of the production circuits.
+estimation stops at ``QPE_MAX_DIM``. Both assemblers form no sparse
+operator: every term is c (w_left)+ w_right for annihilator words w of one
+or two factors, a+_i a_j or a+_i a+_k a_l a_j in its written order. Each
+word is tabulated once per size over every occupation bit string, with the
+signs of one Jordan-Wigner table, and cached read-only; each run of terms
+is added in the written order with one ``np.add.at``. The layout of the
+(N_up, N_down) sector blocks is cached too, by side length: the factorized
+matrix is squared, and the equivalence check takes its norm, one stack of
+same-size blocks per numpy call. These routines certify the factorization
+and cost-model formulas; they are not simulators of the production circuits.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from .ingest import IntegralSet
 FOCK_MAX_ORBITALS = 6
 QPE_MAX_DIM = 64
 QPE_MAX_BITS = 20
-# Most terms in one two-body scatter, and most entries in one stack of sector
-# blocks (or one larger block): past numpy's per-call cost, within cache
+# Most entries in one two-body scatter, and in one stack of sector blocks (or
+# one larger block): past numpy's per-call cost, within cache
 CHUNK_ENTRIES = 1 << 14
 
 
@@ -77,20 +76,6 @@ def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _one_body_tables(n_orb: int) -> tuple[np.ndarray, ...]:
-    """The n_orb-only tables of ``_one_body``, built once, read-only: the
-    spin-orbital of (orbital, spin), orbital + spin * n_orb; a+_p's sign
-    on every state, zero where p is occupied; and the states where each
-    spin-orbital is occupied."""
-    occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
-    tables = (np.arange(2 * n_orb).reshape(2, n_orb).T, jw_sign * ~occupied,
-              np.nonzero(occupied)[1].reshape(2 * n_orb, -1))
-    for table in tables:
-        table.flags.writeable = False  # cached, shared
-    return tables
-
-
-@functools.lru_cache(maxsize=None)
 def _sector_layout(n_orb: int) -> tuple[np.ndarray, tuple]:
     """Where the (N_up, N_down) sector blocks of a Fock matrix lie.
 
@@ -126,92 +111,80 @@ def _dense(n_orb: int, core: float = 0.0) -> np.ndarray:
     return matrix
 
 
-def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``,
-    ordered by nonzero (i, j), then spin, then source state."""
-    orbitals, creation_sign, occupied_src = _one_body_tables(len(mat))
-    _, jw_sign = _jordan_wigner_tables(2 * len(mat))
-    i, j = np.nonzero(mat != 0.0)
-    created, lowered = orbitals[i][..., None], orbitals[j][..., None]
-    # a_{j,sigma} on the states where it is occupied, then a+_{i,sigma}
-    src = occupied_src[lowered[..., 0]]
-    dst = src ^ 1 << lowered
-    sign = jw_sign[lowered, src]
-    sign *= creation_sign[created, dst]  # zero where i is occupied
-    keep = sign != 0.0
-    sign *= mat[i, j][:, None, None]
-    dst |= 1 << created
-    dst = dst[keep]
-    dst *= len(matrix)
-    dst += src[keep]
-    np.add.at(matrix.reshape(-1), dst, sign[keep])
-    return matrix
-
-
 @functools.lru_cache(maxsize=None)
-def _two_body_tables(n_orb: int) -> tuple[np.ndarray, ...]:
-    """The n_orb-only tables of ``_two_body``, built once, read-only."""
+def _words(n_orb: int, length: int) -> tuple[np.ndarray, ...]:
+    """Every annihilator word w of ``length`` factors, built once per size,
+    read-only: w = a_{i,sigma} or a_{k,rho} a_{i,sigma} (applied right to
+    left), indexed [i, (k,) spin], the spins (sigma, rho) row-major.
+
+    Returns the states w does not annihilate, ascending; w's target and
+    sign there; w's sign on every state (int8, zero where w annihilates
+    it); and the bits w clears. A word that names one spin-orbital twice
+    annihilates every state: its sources are state 0, with sign zero.
+    """
     occupied, jw_sign = _jordan_wigner_tables(2 * n_orb)
-    orbitals, creation_sign, *_ = _one_body_tables(n_orb)
-    dim = occupied.shape[1]
-    a = orbitals[:, None, :, None, None]  # (i or j, sigma)
-    b = orbitals[None, :, None, :, None]  # (k or l, rho)
-
-    distinct = (a != b)[..., 0]
-    both = occupied[a[..., 0]] & occupied[b[..., 0]]
-    src = np.zeros(distinct.shape + (dim // 4,), dtype=np.int64)
-    src[distinct] = np.nonzero(both[distinct])[1].reshape(-1, dim // 4)
-    mid = src ^ 1 << a
-    r_tgt = mid ^ 1 << b
-    r_sign = jw_sign[a, src] * jw_sign[b, mid] * distinct[..., None]
-
-    states = np.arange(dim)
-    raised = states | 1 << b  # a+_{k,rho} applied
-    raised_sign = creation_sign[b, states]
-    spins = np.arange(4).reshape(2, 2, 1) * dim
-    tables = src, r_tgt, r_sign, raised, raised_sign, spins
+    ladder = (jw_sign * occupied).astype(np.int8)  # a_p's sign on every state
+    shape = (n_orb,) * length + (1 << length,)
+    grid = np.indices((n_orb,) * length + (2,) * length)
+    factors = (grid[:length] + n_orb * grid[length:]).reshape(length, *shape)
+    states = np.arange(occupied.shape[1])
+    every = np.ones(shape + states.shape, dtype=np.int8)
+    clears = np.zeros(shape, dtype=np.int64)
+    for p in factors:  # in the order they apply
+        every *= ladder[p[..., None], states ^ clears[..., None]]
+        clears |= 1 << p
+    distinct = every.any(axis=-1)
+    sources = np.zeros(shape + (len(states) >> length,), dtype=np.int64)
+    sources[distinct] = np.nonzero(every[distinct])[1].reshape(-1, sources.shape[-1])
+    tables = (sources, sources ^ clears[..., None],
+              np.take_along_axis(every, sources, -1), every, clears)
     for table in tables:
         table.flags.writeable = False  # cached, shared
     return tables
 
 
+def _scatter(matrix: np.ndarray, coeff: np.ndarray, right: tuple,
+             left: tuple) -> None:
+    """Add coeff_t (w_left)+ w_right to ``matrix`` for every term t, the
+    words given by their orbitals (``_words``) and taken with the same
+    spins, in term, then spin, then source-state order, with one ordered
+    ``np.add.at``. (w_left)+ takes w_right's target to its XOR with the
+    bits w_left clears, or to nothing where w_left annihilates that."""
+    dim = len(matrix)
+    sources, targets, signs, every, clears = _words(dim.bit_length() // 2,
+                                                    len(right))
+    at = targets[right]
+    at ^= clears[left][..., None]
+    rows = every[left].reshape(-1)  # one row of dim signs per (term, spin)
+    sign = rows[at + np.arange(0, rows.size, dim).reshape(*at.shape[:2], 1)]
+    sign *= signs[right]
+    keep = sign != 0
+    at *= dim
+    at += sources[right]
+    np.add.at(matrix.reshape(-1), at[keep], (coeff[:, None, None] * sign)[keep])
+
+
+def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``,
+    ordered by nonzero (i, j): it is (a_{i,sigma})+ a_{j,sigma}."""
+    i, j = np.nonzero(mat)
+    _scatter(matrix, mat[i, j], (j,), (i,))
+    return matrix
+
+
 def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
     """Add 1/2 sum_ijkl h2_ijkl sum_{sigma,rho} a+_{i,sigma} a+_{k,rho}
-    a_{l,rho} a_{j,sigma} to ``matrix``, in that written order.
-
-    Each factor pair is tabulated, indexed [orbital, orbital, sigma, rho,
-    state]. The right one, a_{l,rho} a_{j,sigma}, is taken on the quarter
-    of the states where both spin-orbitals are occupied, and is empty
-    (sign zero) when they are the same one; it is built once per n_orb,
-    with a+_{k,rho} on every state (``_two_body_tables``). The left one,
-    a+_{i,sigma} a+_{k,rho}, is taken on every state, one i slab at a
-    time, with sign zero where a creation fails. Runs of one i's nonzero
-    (j, k, l) gather the left slab at the right factors' targets; each run
-    of up to ``CHUNK_ENTRIES`` (j, k, l, sigma, rho, state) terms, less its
-    zero-sign ones, is one ordered scatter: one per i up to n_orb = 4.
+    a_{l,rho} a_{j,sigma} to ``matrix``, in that written order: it is
+    (a_{k,rho} a_{i,sigma})+ a_{l,rho} a_{j,sigma}. The nonzero
+    (i, j, k, l) go in runs of up to ``CHUNK_ENTRIES`` (term, spin,
+    state) entries, one scatter each: one in all up to n_orb = 3.
     """
-    n, dim = len(h2), len(matrix)
-    src, r_tgt, r_sign, raised, raised_sign, spins = _two_body_tables(n)
-    orbitals, creation_sign, *_ = _one_body_tables(n)
-    a = orbitals[:, None, :, None, None]  # (i, sigma)
-    run = max(1, CHUNK_ENTRIES // dim)  # each (j, k, l) has dim terms
-    for i in range(n):
-        l_tgt = (raised | 1 << a[i]).reshape(-1)
-        l_sign = (raised_sign * creation_sign[a[i], raised]).reshape(-1)
-        coeff = 0.5 * h2[i]
-        terms = np.nonzero(coeff != 0.0)
-        for start in range(0, len(terms[0]), run):
-            j, k, l = (t[start:start + run] for t in terms)
-            at = r_tgt[j, l]
-            at += k[:, None, None, None] * (4 * dim) + spins
-            sign = l_sign[at]
-            sign *= r_sign[j, l]
-            keep = sign != 0.0
-            sign *= coeff[j, k, l][:, None, None, None]
-            entry = l_tgt[at[keep]]
-            entry *= dim
-            entry += src[j, l][keep]
-            np.add.at(matrix.reshape(-1), entry, sign[keep])
+    coeff = 0.5 * h2
+    terms = np.nonzero(coeff)
+    run = max(1, CHUNK_ENTRIES // len(matrix))  # each term has dim entries
+    for start in range(0, len(terms[0]), run):
+        i, j, k, l = (t[start:start + run] for t in terms)
+        _scatter(matrix, coeff[i, j, k, l], (j, l), (i, k))
 
 
 def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
@@ -286,6 +259,8 @@ def build_walk_operator(hamiltonian: np.ndarray, lam: float) -> np.ndarray:
     mat = np.asarray(hamiltonian, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError("hamiltonian must be a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValidationError("hamiltonian entries must be finite")
     scale = max(np.abs(mat).max(initial=0.0), 1.0)
     if np.abs(mat - mat.conj().T).max(initial=0.0) > 1e-10 * scale:
         raise ValidationError("hamiltonian is not Hermitian")
@@ -369,6 +344,9 @@ def run_qpe(unitary: np.ndarray, state: np.ndarray, m: int, shots: int,
         raise ValidationError("unitary must be a square matrix")
     if dim > QPE_MAX_DIM:
         raise ResourceLimitError(f"dimension {dim} exceeds {QPE_MAX_DIM}")
+    for name, value in (("unitary", mat), ("state", state)):
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{name} entries must be finite")
     if not 1 <= m <= QPE_MAX_BITS:
         raise ValidationError(f"phase bits must lie in [1, {QPE_MAX_BITS}]")
     if shots < 1:

@@ -428,10 +428,10 @@ class TestDfEquivalence:
 
 @pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
 def test_fock_tables_are_shared_and_read_only(n_orb):
-    """Each n_orb's ladder tables and sector layout are built once: every
-    caller gets the same arrays, and writing to them raises."""
+    """Each n_orb's annihilator-word tables and sector layout are built
+    once: every caller gets the same arrays, and writing to them raises."""
     def tables():
-        return verify._one_body_tables(n_orb) + verify._two_body_tables(n_orb)
+        return verify._words(n_orb, 1) + verify._words(n_orb, 2)
 
     index, stacks = verify._sector_layout(n_orb)
     assert all(a is b for a, b in zip(tables(), tables()))
@@ -463,6 +463,41 @@ def test_fock_tables_are_shared_and_read_only(n_orb):
     for array in tables() + (index,):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("n_orb", [1, 2, 3, 5])
+def test_annihilator_word_tables(n_orb):
+    """``_words(n, 1)`` holds a_p and ``_words(n, 2)`` holds a_q a_p, a_q
+    applied after a_p, for p = (i, sigma) and q = (k, rho), indexed
+    [i, sigma] and [i, k, 2 * sigma + rho]. Each word's sign on every
+    state is the sparse reference's (length 1) or the product of two
+    length-1 signs (length 2); a word that names one spin-orbital twice
+    is zero; any other lists as sources exactly its nonzero-sign states,
+    ascending, with its target and sign there, and clears its bits."""
+    nso, dim = 2 * n_orb, 1 << 2 * n_orb
+    states = np.arange(dim)
+    reference = np.stack([np.asarray(op.sum(axis=0)).reshape(-1) for op in
+                          _reference_annihilation_operators(nso)])
+    one, two = verify._words(n_orb, 1), verify._words(n_orb, 2)
+    spin_orbital = np.arange(nso).reshape(2, n_orb).T  # [i, sigma]
+    assert np.array_equal(one[3], reference[spin_orbital])
+    words = [(one, (i,), sigma, [p])
+             for (i, sigma), p in np.ndenumerate(spin_orbital)]
+    for (i, sigma), p in np.ndenumerate(spin_orbital):
+        for (k, rho), q in np.ndenumerate(spin_orbital):
+            sign = two[3][i, k, 2 * sigma + rho]
+            assert np.array_equal(sign, reference[p] * reference[q, states ^ 1 << p])
+            words.append((two, (i, k), 2 * sigma + rho, [p, q]))
+    for (sources, targets, signs, every, clears), orbitals, spin, factors \
+            in words:
+        word = orbitals + (spin,)
+        assert clears[word] == sum(1 << p for p in set(factors))
+        if len(set(factors)) < len(factors):
+            assert not every[word].any() and not signs[word].any()
+            continue
+        assert np.array_equal(sources[word], np.flatnonzero(every[word]))
+        assert np.array_equal(targets[word], sources[word] ^ clears[word])
+        assert np.array_equal(signs[word], every[word][sources[word]])
 
 
 def build_logging_two_body_scatters(monkeypatch, integrals):
@@ -561,7 +596,10 @@ class TestWalkOperator:
         (np.zeros((2, 2)), 0.0, "lam must be positive and finite"),
         (np.zeros((2, 2)), math.inf, "lam must be positive and finite"),
         (np.zeros((2, 2)), math.nan, "lam must be positive and finite"),
-    ], ids=["2x3", "lam-0", "lam-inf", "lam-nan"])
+        (np.array([[0.0, math.nan], [math.nan, 0.0]]), 1.0,
+         "hamiltonian entries must be finite"),
+        (np.diag([math.inf, 0.0]), 1.0, "hamiltonian entries must be finite"),
+    ], ids=["2x3", "lam-0", "lam-inf", "lam-nan", "nan-entry", "inf-entry"])
     def test_refusal_message(self, ham, lam, message):
         with pytest.raises(ValidationError) as err:
             build_walk_operator(ham, lam)
@@ -605,7 +643,16 @@ class TestRunQpe:
         (np.eye(2), np.ones(2), 21, 10, "phase bits must lie in [1, 20]"),
         (np.eye(2), np.ones(2), 3, 0, "shots must be positive"),
         (np.eye(2), np.zeros(2), 3, 10, "state must be nonzero"),
-    ], ids=["2x3", "m-0", "m-21", "shots-0", "zero-state"])
+        (np.diag([1.0, math.nan]), np.array([1.0, 0.0]), 3, 10,
+         "unitary entries must be finite"),
+        (np.diag([1.0, math.inf]), np.array([1.0, 0.0]), 3, 10,
+         "unitary entries must be finite"),
+        (np.eye(2), np.array([math.nan, 0.0]), 3, 10,
+         "state entries must be finite"),
+        (np.eye(2), np.array([complex(0.0, math.inf), 1.0]), 3, 10,
+         "state entries must be finite"),
+    ], ids=["2x3", "m-0", "m-21", "shots-0", "zero-state", "nan-unitary",
+            "inf-unitary", "nan-state", "inf-state"])
     def test_refusal_message(self, unitary, state, m, shots, message):
         with pytest.raises(ValidationError) as err:
             run_qpe(unitary, state, m=m, shots=shots)
