@@ -2,20 +2,20 @@
 equivalence checks, exact walk operators, and a small phase-estimation
 simulator.
 
-Everything here works on the full occupation-number space of dimension
+Everything here works on the occupation-number space of dimension
 4^n_orb, so it is deliberately capped at small sizes: both Fock-space
 assemblers (raw integrals, decomposition), and so the equivalence check,
 raise ``ResourceLimitError`` above ``FOCK_MAX_ORBITALS`` orbitals; phase
-estimation stops at ``QPE_MAX_DIM``. Both assemblers form no sparse
-operator: every term is c (w_left)+ w_right for annihilator words w of one
-or two factors, a+_i a_j or a+_i a+_k a_l a_j in its written order. Each
-word is tabulated once per size over every occupation bit string, with the
-signs of one Jordan-Wigner table, and cached read-only; each run of terms
-is added in the written order with one ``np.add.at``. The layout of the
-(N_up, N_down) sector blocks is cached too, by side length: the factorized
-matrix is squared, and the equivalence check takes its norm, one stack of
-same-size blocks per numpy call. These routines certify the factorization
-and cost-model formulas; they are not simulators of the production circuits.
+estimation stops at ``QPE_MAX_DIM``. Both Hamiltonians conserve N_up and
+N_down, so each operator is built as its entry vector: its (N_up, N_down)
+blocks, row-major, by side length. Every term is c (w_left)+ w_right for
+annihilator words w of one or two factors, a+_i a_j or a+_i a+_k a_l a_j
+in its written order; each word is tabulated once per size, with the
+signs of one Jordan-Wigner table, and each run of terms is added in the
+written order with one ``np.add.at``. Blocks of one size are squared, or
+take their norm, in one numpy call; a dense matrix is built only where
+one is returned. These routines certify the factorization and cost-model
+formulas; they are not simulators of the production circuits.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,39 +77,41 @@ def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_layout(n_orb: int) -> tuple[np.ndarray, tuple]:
-    """Where the (N_up, N_down) sector blocks of a Fock matrix lie.
-
-    Returns the flat indices (row * dim + column) of every block's
-    entries, row-major, the blocks by side length; and each stack of
-    blocks of one side (``CHUNK_ENTRIES`` entries or one block at most)
-    as its slice of those indices and its shape (count, side, side).
-    """
+def _sector_layout(n_orb: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Where the (N_up, N_down) sector blocks lie in an operator's entry
+    vector, each row-major, by side length: two per-state tables, ``row``
+    and ``column``, that put entry (t, s) of a block at row[t] + column[s];
+    and each stack of blocks of one side (``CHUNK_ENTRIES`` entries or one
+    block at most) as its slice of the vector and its shape
+    (count, side, side)."""
     occupied, _ = _jordan_wigner_tables(2 * n_orb)
-    dim = occupied.shape[1]
     key = occupied[:n_orb].sum(axis=0) * (n_orb + 1) + occupied[n_orb:].sum(axis=0)
     sectors = sorted((np.flatnonzero(key == k) for k in np.unique(key)), key=len)
-    index = np.concatenate([(s[:, None] * dim + s).reshape(-1) for s in sectors])
-    index.flags.writeable = False  # cached, shared
+    row, column = np.empty((2, len(key)), dtype=np.int64)
     stacks, stop = [], 0
-    for side, same in itertools.groupby(map(len, sectors)):
-        count, per = len(list(same)), max(1, CHUNK_ENTRIES // side**2)
-        for first in range(0, count, per):
-            shape = (min(per, count - first), side, side)
+    for side, same in itertools.groupby(sectors, key=len):
+        same, per = list(same), max(1, CHUNK_ENTRIES // side**2)
+        for first in range(0, len(same), per):
+            shape = (min(per, len(same) - first), side, side)
             stacks.append((slice(stop, stop + math.prod(shape)), shape))
-            stop += math.prod(shape)
-    return index, tuple(stacks)
+            for states in same[first:first + per]:
+                column[states] = np.arange(side)
+                row[states] = stop + side * column[states]
+                stop += side**2
+    row.flags.writeable = column.flags.writeable = False  # cached, shared
+    return row, column, tuple(stacks)
 
 
-def _dense(n_orb: int, core: float = 0.0) -> np.ndarray:
-    """``core`` times the identity on the Fock space of ``n_orb`` orbitals."""
-    if n_orb > FOCK_MAX_ORBITALS:
-        raise ResourceLimitError(
-            f"n_orb={n_orb} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
-    dim = 1 << 2 * n_orb
-    matrix = np.zeros((dim, dim))
-    matrix.reshape(-1)[::dim + 1] = core
-    return matrix
+def _densify(n_orb: int, entries: np.ndarray) -> FockMatrix:
+    """The dense matrix of ``entries``, one assignment per stack."""
+    row, _, stacks = _sector_layout(n_orb)
+    matrix = np.zeros((len(row), len(row)))
+    states, first = np.argsort(row), 0  # block by block, each ascending
+    for stack, (count, side, _) in stacks:
+        block = states[first:first + count * side].reshape(count, side, 1)
+        matrix[block, block.transpose(0, 2, 1)] = entries[stack].reshape(-1, side, side)
+        first += count * side
+    return FockMatrix(n_orb=n_orb, matrix=matrix)
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,48 +146,66 @@ def _words(n_orb: int, length: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _scatter(matrix: np.ndarray, coeff: np.ndarray, right: tuple,
+def _scatter(entries: np.ndarray, n_orb: int, coeff: np.ndarray, right: tuple,
              left: tuple) -> None:
-    """Add coeff_t (w_left)+ w_right to ``matrix`` for every term t, the
-    words given by their orbitals (``_words``) and taken with the same
+    """Add coeff_t (w_left)+ w_right to the ``entries`` for every term t,
+    the words given by their orbitals (``_words``) and taken with the same
     spins, in term, then spin, then source-state order, with one ordered
     ``np.add.at``. (w_left)+ takes w_right's target to its XOR with the
-    bits w_left clears, or to nothing where w_left annihilates that."""
-    dim = len(matrix)
-    sources, targets, signs, every, clears = _words(dim.bit_length() // 2,
-                                                    len(right))
+    bits w_left clears, or to nothing where w_left annihilates that; both
+    ends lie in one sector, so the pair is an entry of its block."""
+    row, column, _ = _sector_layout(n_orb)
+    sources, targets, signs, every, clears = _words(n_orb, len(right))
     at = targets[right]
     at ^= clears[left][..., None]
-    rows = every[left].reshape(-1)  # one row of dim signs per (term, spin)
-    sign = rows[at + np.arange(0, rows.size, dim).reshape(*at.shape[:2], 1)]
+    rows = every[left].reshape(-1)  # one row of 4^n signs per (term, spin)
+    sign = rows[at + np.arange(0, rows.size, len(row)).reshape(*at.shape[:2], 1)]
     sign *= signs[right]
-    keep = sign != 0
-    at *= dim
-    at += sources[right]
-    np.add.at(matrix.reshape(-1), at[keep], (coeff[:, None, None] * sign)[keep])
+    keep = np.flatnonzero(sign)
+    np.add.at(entries, row.take(at.take(keep)) + column.take(sources[right].take(keep)),
+              (coeff[:, None, None] * sign).take(keep))
 
 
-def _one_body(matrix: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Add sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma} to ``matrix``,
+def _one_body(n_orb: int, mat: np.ndarray, core: float = 0.0) -> np.ndarray:
+    """The entries of core + sum_ij mat_ij sum_sigma a+_{i,sigma} a_{j,sigma},
     ordered by nonzero (i, j): it is (a_{i,sigma})+ a_{j,sigma}."""
+    if n_orb > FOCK_MAX_ORBITALS:
+        raise ResourceLimitError(
+            f"n_orb={n_orb} exceeds the dense Fock-space cap of {FOCK_MAX_ORBITALS}")
+    row, column, stacks = _sector_layout(n_orb)
+    entries = np.zeros(stacks[-1][0].stop)
+    entries[row + column] = core
     i, j = np.nonzero(mat)
-    _scatter(matrix, mat[i, j], (j,), (i,))
-    return matrix
+    _scatter(entries, n_orb, mat[i, j], (j,), (i,))
+    return entries
 
 
-def _two_body(matrix: np.ndarray, h2: np.ndarray) -> None:
-    """Add 1/2 sum_ijkl h2_ijkl sum_{sigma,rho} a+_{i,sigma} a+_{k,rho}
-    a_{l,rho} a_{j,sigma} to ``matrix``, in that written order: it is
-    (a_{k,rho} a_{i,sigma})+ a_{l,rho} a_{j,sigma}. The nonzero
-    (i, j, k, l) go in runs of up to ``CHUNK_ENTRIES`` (term, spin,
-    state) entries, one scatter each: one in all up to n_orb = 3.
-    """
-    coeff = 0.5 * h2
+def _raw_entries(integrals: IntegralSet) -> np.ndarray:
+    """The entries of ``build_fock_matrix``: the nonzero (i, j, k, l) of
+    its two-body term go in runs of up to ``CHUNK_ENTRIES`` (term, spin,
+    state) entries, one scatter each: one in all up to n_orb = 3."""
+    n = integrals.n_orb
+    entries = _one_body(n, integrals.h1, integrals.core_energy)
+    coeff = 0.5 * integrals.h2
     terms = np.nonzero(coeff)
-    run = max(1, CHUNK_ENTRIES // len(matrix))  # each term has dim entries
+    run = max(1, CHUNK_ENTRIES >> 2 * n)  # each term has 4^n entries
     for start in range(0, len(terms[0]), run):
         i, j, k, l = (t[start:start + run] for t in terms)
-        _scatter(matrix, coeff[i, j, k, l], (j, l), (i, k))
+        _scatter(entries, n, coeff[i, j, k, l], (j, l), (i, k))  # a+_i a+_k a_l a_j
+    return entries
+
+
+def _decomposition_entries(df: DFDecomposition) -> np.ndarray:
+    """The entries of ``fock_matrix_of_decomposition``: each O_r squared
+    in one stacked ``sub @ sub`` per stack of same-size blocks."""
+    n = df.n_orb
+    entries = _one_body(n, df.h_bar, df.core_energy)
+    for leaf in df.leaves:
+        op = _one_body(n, leaf.matrix())
+        for stack, shape in _sector_layout(n)[2]:
+            sub = op[stack].reshape(shape)
+            entries[stack] += (0.5 * leaf.weight * (sub @ sub)).reshape(-1)
+    return entries
 
 
 def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
@@ -194,34 +215,16 @@ def build_fock_matrix(integrals: IntegralSet) -> FockMatrix:
     (a+ a+ a a), so this matrix is independent of any normal-ordering
     identity used elsewhere and can certify those identities.
     """
-    n = integrals.n_orb
-    matrix = _one_body(_dense(n, integrals.core_energy), integrals.h1)
-    _two_body(matrix, integrals.h2)
-    return FockMatrix(n_orb=n, matrix=matrix)
+    return _densify(integrals.n_orb, _raw_entries(integrals))
 
 
 def fock_matrix_of_decomposition(df: DFDecomposition) -> FockMatrix:
     """Fock-space matrix of the factorized Hamiltonian, assembled as
     written: the core energy, the hbar one-body term and
-    1/2 sum_r c_r O_r^2 over the one-body leaf operators O_r. Each O_r
-    conserves both spin counts, so it is squared on the sector layout,
-    one stacked ``sub @ sub`` per stack of same-size blocks (block by
-    block, as one product each), into one flat copy of its entries.
+    1/2 sum_r c_r O_r^2 over the one-body leaf operators O_r, each squared
+    on its (N_up, N_down) sector blocks, which it conserves.
     """
-    n = df.n_orb
-    matrix = _one_body(_dense(n, df.core_energy), df.h_bar)
-    index, stacks = _sector_layout(n)
-    squares = matrix.reshape(-1)[index]
-    op = _dense(n)
-    op_entries = op.reshape(-1)
-    for leaf in df.leaves:
-        _one_body(op, leaf.matrix())
-        for stack, shape in stacks:
-            sub = op_entries[index[stack]].reshape(shape)
-            squares[stack] += (0.5 * leaf.weight * (sub @ sub)).reshape(-1)
-        op_entries[index] = 0.0  # O_r lies in the blocks: this zeroes it
-    matrix.reshape(-1)[index] = squares
-    return FockMatrix(n_orb=n, matrix=matrix)
+    return _densify(df.n_orb, _decomposition_entries(df))
 
 
 def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
@@ -230,19 +233,15 @@ def check_df_equivalence(integrals: IntegralSet, df: DFDecomposition) -> float:
     For an untruncated decomposition this certifies both the hbar
     correction formula and the spin handling; values above ~1e-9 indicate
     a broken identity (or a truncated input). Both Hamiltonians conserve
-    N_up and N_down, so the difference has no entry between sectors and
-    its norm is exactly the largest over the blocks, one stacked
-    ``eigvalsh`` per stack of same-size blocks.
+    N_up and N_down, so the norm of their difference is exactly the largest
+    over its sector blocks, one stacked ``eigvalsh`` per stack.
     """
     if integrals.n_orb != df.n_orb:
         raise ValidationError("orbital count mismatch between inputs")
-    diff = build_fock_matrix(integrals).matrix
-    diff -= fock_matrix_of_decomposition(df).matrix
-    index, stacks = _sector_layout(df.n_orb)
-    entries = diff.reshape(-1)
-    return max(float(np.abs(np.linalg.eigvalsh(
-        entries[index[stack]].reshape(shape))).max())
-        for stack, shape in stacks)
+    diff = _raw_entries(integrals)
+    diff -= _decomposition_entries(df)
+    return max(float(np.abs(np.linalg.eigvalsh(diff[stack].reshape(shape))).max())
+               for stack, shape in _sector_layout(df.n_orb)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +343,15 @@ def run_qpe(unitary: np.ndarray, state: np.ndarray, m: int, shots: int,
         raise ValidationError("unitary must be a square matrix")
     if dim > QPE_MAX_DIM:
         raise ResourceLimitError(f"dimension {dim} exceeds {QPE_MAX_DIM}")
-    for name, value in (("unitary", mat), ("state", state)):
+    vec = np.asarray(state, dtype=complex).reshape(-1)
+    if vec.size != dim:
+        raise ValidationError(f"state must have {dim} entries, got {vec.size}")
+    for name, value in (("unitary", mat), ("state", vec)):
         if not np.isfinite(value).all():
             raise ValidationError(f"{name} entries must be finite")
+    for name, value in (("m", m), ("shots", shots)):
+        if not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not 1 <= m <= QPE_MAX_BITS:
         raise ValidationError(f"phase bits must lie in [1, {QPE_MAX_BITS}]")
     if shots < 1:
@@ -355,7 +360,6 @@ def run_qpe(unitary: np.ndarray, state: np.ndarray, m: int, shots: int,
     if defect > 1e-10:
         raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
 
-    vec = np.asarray(state, dtype=complex).reshape(dim)
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValidationError("state must be nonzero")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -132,6 +133,13 @@ def reference_one_body(matrix, mat):
     return matrix
 
 
+def core_identity(n_orb, core):
+    """``core`` on the diagonal of a dense Fock-space matrix, +0.0 off it."""
+    matrix = np.zeros((1 << 2 * n_orb,) * 2)
+    np.fill_diagonal(matrix, core)
+    return matrix
+
+
 def sector_blocks(n_orb):
     """``np.ix_`` of every (N_up, N_down) sector, by ascending key."""
     bits = (np.arange(1 << 2 * n_orb)[:, None] >> np.arange(2 * n_orb)) & 1
@@ -141,19 +149,18 @@ def sector_blocks(n_orb):
 
 
 def reference_sector_squares(df):
-    """The per-leaf, per-sector ``np.ix_`` loop the flat sector layout
-    replaced, kept as the oracle for its matrix: each (N_up, N_down) block
-    of O_r is gathered, cleared, squared and added into the matrix's own
-    block, one block at a time."""
+    """The dense, per-leaf, per-sector ``np.ix_`` loop that the sector
+    entry vectors replaced, kept as the oracle for their matrix: each O_r
+    is built whole by the per-term one-body loop, and each (N_up, N_down)
+    block of it is squared and added into the matrix's own block, one
+    block at a time."""
     n = df.n_orb
     blocks = sector_blocks(n)
-    matrix = verify._one_body(verify._dense(n, df.core_energy), df.h_bar)
-    op = verify._dense(n)
+    matrix = reference_one_body(core_identity(n, df.core_energy), df.h_bar)
     for leaf in df.leaves:
-        verify._one_body(op, leaf.matrix())
+        op = reference_one_body(core_identity(n, 0.0), leaf.matrix())
         for block in blocks:
-            sub, op[block] = op[block], 0.0
-            matrix[block] += 0.5 * leaf.weight * (sub @ sub)
+            matrix[block] += 0.5 * leaf.weight * (op[block] @ op[block])
     return matrix
 
 
@@ -353,17 +360,24 @@ class TestDfEquivalence:
                     <= 1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
-    def test_matches_per_term_one_body(self, n_orb, monkeypatch):
+    def test_matches_per_term_one_body(self, n_orb):
         full = n_orb * (n_orb + 1) // 2
         ints = gen_synthetic(SyntheticSpec(n_orb=n_orb, rank=full,
                                            seed=60 + n_orb))
         for tol in (0.0, 1e-2):
             df = factorize(ints, tol, tol)
-            fock = fock_matrix_of_decomposition(df)
-            with monkeypatch.context() as patch:
-                patch.setattr(verify, "_one_body", reference_one_body)
-                expected = fock_matrix_of_decomposition(df)
-            assert np.array_equal(fock.matrix, expected.matrix)
+            assert np.array_equal(fock_matrix_of_decomposition(df).matrix,
+                                  reference_sector_squares(df))
+        # with no leaves (no two-body term), both assemblers are the core
+        # and the one-body term alone
+        one_body = reference_one_body(core_identity(n_orb, df.core_energy),
+                                      df.h_bar)
+        assert np.array_equal(
+            fock_matrix_of_decomposition(replace(df, leaves=())).matrix,
+            one_body)
+        assert np.array_equal(build_fock_matrix(raw_integrals(
+            n_orb, df.core_energy, df.h_bar, np.zeros((n_orb,) * 4))).matrix,
+            one_body)
 
     @pytest.mark.parametrize("n_orb", [1, 2, 3, 4])
     def test_matches_sector_squares(self, n_orb):
@@ -433,18 +447,19 @@ def test_fock_tables_are_shared_and_read_only(n_orb):
     def tables():
         return verify._words(n_orb, 1) + verify._words(n_orb, 2)
 
-    index, stacks = verify._sector_layout(n_orb)
+    row, column, stacks = verify._sector_layout(n_orb)
     assert all(a is b for a, b in zip(tables(), tables()))
-    assert verify._sector_layout(n_orb)[0] is index
-    # the stacks tile the index in order, each of whole blocks of one side
-    # length, in ascending side length
+    assert verify._sector_layout(n_orb)[0] is row
+    assert verify._sector_layout(n_orb)[1] is column
+    # the stacks tile the entries in order, each of whole blocks of one
+    # side length, in ascending side length
     assert [stack.start for stack, _ in stacks] == \
         [0] + [stack.stop for stack, _ in stacks][:-1]
-    assert stacks[-1][0].stop == len(index)
     sides = [side for _, (_, side, _) in stacks]
     assert sides == sorted(sides)
     # each block is one whole (N_up, N_down) sector: its states ascending,
-    # its entries row-major; the blocks hold every state exactly once
+    # its entries row-major, entry (t, s) at row[t] + column[s]; the blocks
+    # hold every state exactly once
     dim = 1 << 2 * n_orb
     bits = (np.arange(dim)[:, None] >> np.arange(2 * n_orb)) & 1
     spins = np.stack([bits[:, :n_orb].sum(axis=1), bits[:, n_orb:].sum(axis=1)])
@@ -452,15 +467,16 @@ def test_fock_tables_are_shared_and_read_only(n_orb):
     for stack, (count, side, columns) in stacks:
         assert columns == side and stack.stop - stack.start == count * side**2
         assert count == 1 or count * side**2 <= verify.CHUNK_ENTRIES
-        for block in index[stack].reshape(count, side**2):
-            states = block[::side + 1] % dim
-            assert np.array_equal(block, (states[:, None] * dim
-                                          + states).reshape(-1))
+        for start in range(stack.start, stack.stop, side**2):
+            states = np.flatnonzero((row >= start) & (row < start + side**2))
+            assert np.array_equal(row[states][:, None] + column[states],
+                                  start + np.arange(side**2).reshape(side, side))
             sector = (spins == spins[:, states[:1]]).all(axis=0)
             assert np.array_equal(states, np.flatnonzero(sector))
             diagonal.append(states)
     assert np.array_equal(np.sort(np.concatenate(diagonal)), np.arange(dim))
-    for array in tables() + (index,):
+    assert stacks[-1][0].stop == sum(len(states)**2 for states in diagonal)
+    for array in tables() + (row, column):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
 
@@ -502,12 +518,13 @@ def test_annihilator_word_tables(n_orb):
 
 def build_logging_two_body_scatters(monkeypatch, integrals):
     """``build_fock_matrix`` with verify's ``np.add.at`` wrapped: returns
-    the matrix and the term count of each scatter ``_two_body`` made."""
+    the matrix and the term count of each scatter of two-factor words,
+    the two-body term's."""
     sizes, inside = [], []
 
     class Add:
         def at(self, array, indices, values):
-            if inside:
+            if any(inside):
                 sizes.append(np.size(indices))
             np.add.at(array, indices, values)
 
@@ -517,28 +534,28 @@ def build_logging_two_body_scatters(monkeypatch, integrals):
         def __getattr__(self, name):
             return getattr(np, name)
 
-    def two_body(matrix, h2):
-        inside.append(True)
+    def scatter(entries, n_orb, coeff, right, left):
+        inside.append(len(right) == 2)
         try:
-            unpatched(matrix, h2)
+            unpatched(entries, n_orb, coeff, right, left)
         finally:
             inside.clear()
 
-    unpatched = verify._two_body
+    unpatched = verify._scatter
     with monkeypatch.context() as patch:
         patch.setattr(verify, "np", Numpy())
-        patch.setattr(verify, "_two_body", two_body)
+        patch.setattr(verify, "_scatter", scatter)
         return build_fock_matrix(integrals).matrix, sizes
 
 
 @pytest.mark.parametrize("n_orb", [1, 2, 3])
 def test_two_body_one_scatter_per_orbital(n_orb, monkeypatch):
-    # every (j, k, l) term of one i in one scatter: at most n_orb scatters
+    # up to n_orb = 3 every (i, j, k, l) term goes in one scatter
     rng = np.random.default_rng(90 + n_orb)
     ints = raw_integrals(n_orb, 0.3, rng.standard_normal((n_orb,) * 2),
                          rng.standard_normal((n_orb,) * 4))
     matrix, sizes = build_logging_two_body_scatters(monkeypatch, ints)
-    assert 1 <= len(sizes) <= n_orb
+    assert len(sizes) == 1
     assert np.array_equal(matrix, build_fock_matrix(ints).matrix)
 
 
@@ -550,6 +567,22 @@ def test_two_body_scatters_bounded(n_orb, monkeypatch):
     _, sizes = build_logging_two_body_scatters(monkeypatch, ints)
     assert 0 < max(sizes) <= verify.CHUNK_ENTRIES
     assert len(sizes) > n_orb  # the cap splits each i's terms
+
+
+def test_equivalence_builds_no_dense_matrix():
+    """Past its cached tables, the full-rank n_orb = 5 check allocates less
+    than one dense 1024 x 1024 matrix (8.4 MB): it works on sector entries."""
+    ints = gen_synthetic(SyntheticSpec(n_orb=5, rank=15, seed=5))
+    df = factorize(ints)
+    check_df_equivalence(ints, df)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        deviation = check_df_equivalence(ints, df)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert deviation <= 1e-9
+    assert peak < 1024 * 1024 * 8
 
 
 class TestWalkOperator:
@@ -651,8 +684,13 @@ class TestRunQpe:
          "state entries must be finite"),
         (np.eye(2), np.array([complex(0.0, math.inf), 1.0]), 3, 10,
          "state entries must be finite"),
+        (np.eye(2), np.ones(2), 2.5, 10, "m must be an integer, got 2.5"),
+        (np.eye(2), np.ones(2), 3, 2.5, "shots must be an integer, got 2.5"),
+        (np.eye(2), np.ones(3), 3, 10,
+         "state must have 2 entries, got 3"),
     ], ids=["2x3", "m-0", "m-21", "shots-0", "zero-state", "nan-unitary",
-            "inf-unitary", "nan-state", "inf-state"])
+            "inf-unitary", "nan-state", "inf-state", "m-float", "shots-float",
+            "state-size"])
     def test_refusal_message(self, unitary, state, m, shots, message):
         with pytest.raises(ValidationError) as err:
             run_qpe(unitary, state, m=m, shots=shots)
