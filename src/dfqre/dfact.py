@@ -42,7 +42,8 @@ class DFLeaf:
     """One first-stage eigenpair with its own spectral decomposition.
 
     ``vecs[m]`` is the unit eigenvector belonging to ``eigvals[m]``; the
-    leaf matrix is reassembled as vecs.T @ diag(eigvals) @ vecs.
+    leaf matrix is reassembled as vecs.T @ diag(eigvals) @ vecs. The
+    decomposition that holds the leaf checks it.
     """
 
     index: int
@@ -51,32 +52,8 @@ class DFLeaf:
     vecs: np.ndarray
 
     def __post_init__(self):
-        eigvals = np.asarray(self.eigvals, dtype=float)
-        vecs = np.asarray(self.vecs, dtype=float)
-        object.__setattr__(self, "eigvals", eigvals)
-        object.__setattr__(self, "vecs", vecs)
-        if not (math.isfinite(self.weight) and np.isfinite(eigvals).all()
-                and np.isfinite(vecs).all()):
-            raise ValidationError(f"leaf {self.index} holds a non-finite value")
-        if vecs.shape[0] != eigvals.shape[0]:
-            raise ValidationError("leaf eigval/vector count mismatch")
-        gram = vecs @ vecs.T
-        if gram.ndim:
-            gram.ravel()[::len(eigvals) + 1] -= 1.0  # gram - identity
-        else:  # a scalar from 1-D vectors, such as an empty leaf's (0,)
-            gram = gram - np.eye(len(eigvals))
-        if abs(gram).max(initial=0.0) > 1e-10:
-            raise ValidationError("leaf eigenvectors are not orthonormal")
-        mags = abs(eigvals)
-        if (mags[1:] - mags[:-1]).max(initial=0.0) > 1e-15:
-            raise ValidationError("leaf eigenvalues not sorted by magnitude")
-
-    @classmethod
-    def _unchecked(cls, **fields) -> "DFLeaf":
-        """A leaf whose fields its caller has already checked."""
-        leaf = object.__new__(cls)
-        leaf.__dict__.update(fields)
-        return leaf
+        object.__setattr__(self, "eigvals", np.asarray(self.eigvals, float))
+        object.__setattr__(self, "vecs", np.asarray(self.vecs, float))
 
     @property
     def n_eigs(self) -> int:
@@ -89,6 +66,16 @@ class DFLeaf:
 
 @dataclass(frozen=True)
 class DFDecomposition:
+    """A double-factorized Hamiltonian: core energy, ``h_bar`` and leaves.
+
+    Built by ``factorize``, read by ``loads`` or made directly, it checks its
+    fields, then its leaves on stacks zero-padded to the largest eigenpair
+    count, each check over every leaf before the next: ``eigvals`` (k,) and
+    ``vecs`` (k, n_orb), an empty leaf's JSON ``[]`` read as (0, n_orb);
+    weight, eigenvalues and vectors finite; ``vecs`` rows orthonormal within
+    1e-10; |eigvals| non-increasing within 1e-15.
+    """
+
     n_orb: int
     core_energy: float
     h_bar: np.ndarray
@@ -108,7 +95,7 @@ class DFDecomposition:
             raise ValidationError("n_orb must be positive")
         # a leaf with no eigenpairs reads back from JSON as vecs of shape (0,)
         object.__setattr__(self, "leaves", tuple(
-            leaf if leaf.n_eigs else replace(
+            leaf if leaf.vecs.shape != (0,) else replace(
                 leaf, vecs=leaf.vecs.reshape(0, self.n_orb))
             for leaf in self.leaves))
         if not (np.isfinite(h_bar).all() and math.isfinite(self.core_energy)):
@@ -121,11 +108,31 @@ class DFDecomposition:
             raise ValidationError("h_bar is not symmetric within 1e-12")
         if len(self.leaves) > self.n_orb * (self.n_orb + 1) // 2:
             raise ValidationError("more leaves than pair-matrix dimension")
-        for leaf in self.leaves:
-            if leaf.vecs.shape[1:] != (self.n_orb,):
+        n, leaves = self.n_orb, self.leaves
+        counts = np.array([leaf.eigvals.size for leaf in leaves], dtype=int)
+        size, k_max = len(leaves), counts.max(initial=0)
+        eigvals, vecs = np.zeros((size, k_max)), np.zeros((size, k_max, n))
+        for r, (leaf, k) in enumerate(zip(leaves, counts.tolist())):
+            if leaf.eigvals.ndim != 1 or leaf.vecs.shape != (k, n):
                 raise ValidationError(
-                    f"leaf {leaf.index} vectors have shape {leaf.vecs.shape}, "
-                    f"not ({leaf.n_eigs}, {self.n_orb})")
+                    f"leaf {leaf.index} has eigvals {leaf.eigvals.shape} and "
+                    f"vecs {leaf.vecs.shape}, not shapes (k,) and (k, {n})")
+            eigvals[r, :k] = leaf.eigvals
+            vecs[r, :k] = leaf.vecs
+        finite = (np.isfinite([leaf.weight for leaf in leaves])
+                  & np.isfinite(eigvals).all(axis=1)
+                  & np.isfinite(vecs.reshape(size, k_max * n)).all(axis=1))
+        if not finite.all():
+            bad = leaves[finite.argmin()].index
+            raise ValidationError(f"leaf {bad} holds a non-finite value")
+        gram = vecs @ vecs.transpose(0, 2, 1)
+        kept = np.arange(k_max) < counts[:, None]
+        gram.reshape(size, k_max * k_max)[:, ::k_max + 1] -= kept  # - identity
+        if np.abs(gram, out=gram).max(initial=0.0) > 1e-10:
+            raise ValidationError("leaf eigenvectors are not orthonormal")
+        mags = abs(eigvals)
+        if (mags[:, 1:] - mags[:, :-1]).max(initial=0.0) > 1e-15:
+            raise ValidationError("leaf eigenvalues not sorted by magnitude")
 
     @property
     def n_leaves(self) -> int:
@@ -227,29 +234,17 @@ def factorize(integrals: IntegralSet, tol_first: float = 0.0,
     leaf = np.arange(len(kept))[:, None]  # the leaf axis of per-leaf gathers
     flip = rows_all[leaf, np.arange(n), lead] < 0
     rows_all = np.where(flip[..., None], -rows_all, rows_all)
-    del leaf_mats, vecs_all, mags  # room for the stacked Gram check below
+    del leaf_mats, vecs_all, mags  # room for the decomposition's leaf check
 
     order, count, dropped = _truncate_by_magnitude(eigvals_all, tol_second)
     eigvals_all, rows_all = eigvals_all[leaf, order], rows_all[leaf, order]
-    # DFLeaf's vector checks, made once on the stack: the kept count and
-    # the magnitude order hold by construction
-    if not np.isfinite(rows_all).all():
-        finite = np.isfinite(rows_all).all(axis=(1, 2))
-        raise ValidationError(f"leaf {finite.argmin()} holds a non-finite value")
-    kept_rows = np.arange(n) < count[:, None]
-    gram = rows_all @ rows_all.transpose(0, 2, 1)
-    gram *= kept_rows[:, :, None] & kept_rows[:, None]  # the kept rows' Gram
-    gram.reshape(-1, n * n)[:, ::n + 1] -= kept_rows  # minus their identity
-    if np.abs(gram, out=gram).max(initial=0.0) > 1e-10:
-        raise ValidationError("leaf eigenvectors are not orthonormal")
     leaves = []
     for r, (c_r, k, d) in enumerate(zip(weights[kept].tolist(), count.tolist(),
                                         dropped.tolist())):
         # rank-1 update bound: || vLv^T - v'L'v'^T ||_2 <= 2 |c_r| ||dL||_F
         bound += 2.0 * abs(c_r) * d
-        leaves.append(DFLeaf._unchecked(index=r, weight=c_r,
-                                        eigvals=eigvals_all[r, :k],
-                                        vecs=rows_all[r, :k]))
+        leaves.append(DFLeaf(index=r, weight=c_r, eigvals=eigvals_all[r, :k],
+                             vecs=rows_all[r, :k]))
 
     table = _pair_numbers(n)  # (il|lj) gathered straight from the pairs
     with np.errstate(over="ignore", invalid="ignore"):  # refused below

@@ -160,10 +160,14 @@ def estimate_logical(df: DFDecomposition,
     """Logical resources for ground-state QPE on a factorized Hamiltonian.
 
     Half of ``eps_total_energy`` is reserved for factorization truncation
-    (see choose_tolerances); the other half sets the phase-estimation
-    accuracy here.
+    (see choose_tolerances), so a larger ``truncation_bound`` is refused;
+    the other half sets the phase-estimation accuracy here.
     """
     config = config or EstimationConfig()
+    if df.truncation_bound > config.eps_total_energy / 2.0:
+        raise ValidationError(
+            f"truncation_bound {df.truncation_bound:g} exceeds half of --eps "
+            f"{config.eps_total_energy:g}")
     _, _, lam = lambda_norms(df)
     steps = _qpe_steps(lam, config.eps_total_energy / 2.0)
     breakdown = _walk_step_cost(df.dims(), config, max(steps, 1))

@@ -341,6 +341,26 @@ def test_factorize_bad_eps_reports_invalid_input(integral_file, capsys,
                                         "message": message}
 
 
+def test_estimate_logical_refuses_bound_past_half_eps(tmp_path, capsys):
+    """A decomposition truncated past half the energy budget is refused,
+    not priced; at a budget it fits, the same file is priced."""
+    ints, df_path = tmp_path / "m.ints", tmp_path / "df.json"
+    ints.write_text(serialize_integrals(gen_synthetic(
+        SyntheticSpec(n_orb=3, rank=6, seed=2))))
+    assert main(["factorize", str(ints), "--tol-first", "0.3",
+                 "--tol-second", "0.3", "-o", str(df_path)]) == 0
+    bound = strict_json(df_path.read_text())["truncation_bound"]
+    assert 0.5 < bound < 1.0
+    capsys.readouterr()
+    assert main(["estimate-logical", str(df_path), "--eps", "1e-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert strict_json(captured.err) == {
+        "error": "invalid-input",
+        "message": f"truncation_bound {bound:g} exceeds half of --eps 0.001"}
+    assert main(["estimate-logical", str(df_path), "--eps", "2"]) == 0
+
+
 # finite integrals whose factorization leaves the float range: h_bar, the
 # truncation bound, or the weighted pair matrix before its eigh
 OVERFLOWING_INTEGRALS = {
@@ -657,6 +677,17 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
         {"index": i, "weight": 1.0, "eigvals": [1.0], "vecs": [[1.0]]}
         for i in (0, 1)])), ["estimate-logical", "{}"], "invalid-input",
      "more leaves than pair-matrix dimension"),
+    # leaf arrays of the wrong rank: a column of eigenvalues, 3-D vectors
+    (_small_df("leaves", 1, value={"index": 1, "weight": 1.0,
+                                   "eigvals": [[0.5], [-0.25]],
+                                   "vecs": [[1.0, 0.0], [0.0, 1.0]]}),
+     ["estimate-logical", "{}"], "invalid-input",
+     "leaf 1 has eigvals (2, 1) and vecs (2, 2), not shapes (k,) and (k, 2)"),
+    (_small_df("leaves", 1, value={"index": 1, "weight": 1.0,
+                                   "eigvals": [0.5, -0.25],
+                                   "vecs": [[[1.0], [0.0]], [[0.0], [1.0]]]}),
+     ["estimate-logical", "{}"], "invalid-input",
+     "leaf 1 has eigvals (2,) and vecs (2, 2, 1), not shapes (k,) and (k, 2)"),
     ("3\ncomment\n", ["parse-xyz", "{}"], "empty-input",
      "no data lines in XYZ input"),
     ("H nan 0 0\n", ["parse-xyz", "{}"], "parse",
@@ -673,6 +704,7 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
         "unit-p-gate", "unit-error-budget", "zero-rotation-coefficient",
         "negative-t-states-share", "negative-t-count", "t-count-below-steps",
         "h-bar-2x3", "h-bar-asymmetric", "two-leaves-at-n-orb-1",
+        "leaf-eigvals-column", "leaf-vecs-3d",
         "xyz-count-and-label-only", "xyz-nan-coordinate", "xyz-no-count-line",
         "xyz-atom-like-label", "from-logical-and-counts"])
 def test_refusal_reports_category_and_message(tmp_path, capsys, text, argv,

@@ -127,6 +127,21 @@ GOOD_LEAF = dict(index=2, weight=0.5, eigvals=[0.5, -0.25],
 NON_FINITE = "leaf 2 holds a non-finite value"
 
 
+def shapes(eigvals, vecs, n_orb=2):
+    return (f"leaf 2 has eigvals {eigvals} and vecs {vecs}, "
+            f"not shapes (k,) and (k, {n_orb})")
+
+
+def one_leaf_builds(leaf, n_orb=2):
+    """Two ways to a one-leaf decomposition of ``leaf`` (DFLeaf fields):
+    built directly, and read by ``DFDecomposition.loads`` from its JSON."""
+    fields = dict(n_orb=n_orb, core_energy=0.0, h_bar=np.zeros((n_orb, n_orb)),
+                  tol_first=0.0, tol_second=0.0)
+    text = json.dumps(dict(fields, leaves=[leaf]), default=np.ndarray.tolist)
+    return [lambda: DFDecomposition(**fields, leaves=(DFLeaf(**leaf),)),
+            lambda: DFDecomposition.loads(text)]
+
+
 @pytest.mark.parametrize("change, message", [
     ({"weight": math.nan}, NON_FINITE),
     ({"weight": -math.inf}, NON_FINITE),
@@ -137,35 +152,58 @@ NON_FINITE = "leaf 2 holds a non-finite value"
     # non-finite and non-orthonormal: the non-finite check comes first
     ({"eigvals": [math.nan, 0.25], "vecs": [[1.0, 0.0], [1.0, 0.0]]},
      NON_FINITE),
-    ({"eigvals": [0.5]}, "leaf eigval/vector count mismatch"),
+    ({"eigvals": [0.5]}, shapes("(1,)", "(2, 2)")),
     ({"vecs": [[1.0, 0.0], [1.0, 0.0]]},
      "leaf eigenvectors are not orthonormal"),
     ({"vecs": [[1.0, 0.0], [0.0, 1.0 + 1e-9]]},
      "leaf eigenvectors are not orthonormal"),
     ({"vecs": [[1.0, 2e-10], [0.0, 1.0]]},
      "leaf eigenvectors are not orthonormal"),
-    ({"vecs": [0.0, 1.0]}, "leaf eigenvectors are not orthonormal"),
+    # 1-D vectors, of one eigenpair or of two
+    ({"vecs": [0.0, 1.0]}, shapes("(2,)", "(2,)")),
+    ({"eigvals": [0.5], "vecs": [-1.0]}, shapes("(1,)", "(1,)")),
+    # arrays of the wrong rank: a column of eigenvalues, 3-D vectors
+    ({"eigvals": [[0.5], [-0.25]]}, shapes("(2, 1)", "(2, 2)")),
+    ({"vecs": [[[1.0], [0.0]], [[0.0], [1.0]]]}, shapes("(2,)", "(2, 2, 1)")),
     ({"eigvals": [0.25, -0.5]}, "leaf eigenvalues not sorted by magnitude"),
     ({"eigvals": [0.5, 0.5 + 1e-14]},
      "leaf eigenvalues not sorted by magnitude"),
 ])
 def test_leaf_fault_messages(change, message):
-    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        DFLeaf(**{**GOOD_LEAF, **change})
+    for build in one_leaf_builds({**GOOD_LEAF, **change}):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
 
-@pytest.mark.parametrize("change", [
-    {},
-    {"vecs": [[1.0, 5e-11], [0.0, 1.0]]},  # within the 1e-10 Gram check
-    {"eigvals": [0.5, -0.5 - 1e-16]},  # a tie within 1e-15
-    {"eigvals": [], "vecs": []},  # an empty leaf as JSON reads it
-    {"eigvals": np.zeros(0), "vecs": np.zeros((0, 3))},
-    # 1-D vectors: their scalar Gram is held against np.eye, as before
-    {"eigvals": [0.5], "vecs": [-1.0]},
+@pytest.mark.parametrize("change, n_orb", [
+    ({}, 2),
+    ({"vecs": [[1.0, 5e-11], [0.0, 1.0]]}, 2),  # within the 1e-10 Gram check
+    ({"eigvals": [0.5, -0.5 - 1e-16]}, 2),  # a tie within 1e-15
+    ({"eigvals": [], "vecs": []}, 2),  # an empty leaf as JSON reads it
+    ({"eigvals": np.zeros(0), "vecs": np.zeros((0, 3))}, 3),
 ])
-def test_leaf_checks_accept(change):
-    leaf = DFLeaf(**{**GOOD_LEAF, **change})
-    assert leaf.n_eigs == len(leaf.eigvals)
+def test_leaf_checks_accept(change, n_orb):
+    for build in one_leaf_builds({**GOOD_LEAF, **change}, n_orb):
+        (leaf,) = build().leaves
+        assert leaf.vecs.shape == (leaf.n_eigs, n_orb)
+
+
+def test_leaf_checks_report_first_failing_check_across_leaves():
+    """Each check runs over every leaf before the next, so a later leaf's
+    non-finite weight is reported before an earlier leaf's order fault;
+    leaves of 2, 1 and 0 eigenpairs share one zero-padded stack."""
+    leaves = [dict(GOOD_LEAF, index=7, eigvals=[0.25, -0.5]),
+              dict(GOOD_LEAF, index=5, eigvals=[0.5], vecs=[[0.0, 1.0]]),
+              dict(GOOD_LEAF, index=4, weight=math.nan, eigvals=[], vecs=[])]
+    df = dict(n_orb=2, core_energy=0.0, h_bar=[[0.0, 0.0], [0.0, 0.0]],
+              tol_first=0.0, tol_second=0.0)
+    for count, message in [(3, "leaf 4 holds a non-finite value"),
+                           (2, "leaf eigenvalues not sorted by magnitude")]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DFDecomposition.loads(json.dumps(dict(df, leaves=leaves[:count])))
+    leaves[0]["eigvals"] = [-0.5, 0.25]
+    good = DFDecomposition.loads(json.dumps(dict(df, leaves=leaves[:2])))
+    assert good.dims() == (2, 2, 3)
 
 
 @pytest.mark.parametrize("where, factor, message", [
@@ -174,8 +212,8 @@ def test_leaf_checks_accept(change):
 ], ids=["not-orthonormal", "nan"])
 def test_factorize_checks_stacked_leaf_vectors(where, factor, message,
                                                monkeypatch):
-    """``factorize`` makes DFLeaf's vector checks once, on the stack of
-    stage-2 eigenvectors, and refuses a faulty one as DFLeaf does."""
+    """The decomposition ``factorize`` returns makes the leaf checks a
+    decomposition file gets, and refuses a faulty stage-2 eigenvector."""
     eigh = np.linalg.eigh
 
     def faulty_eigh(matrices):
@@ -363,9 +401,11 @@ class TestFactorize:
         assert DFDecomposition.loads(df.dumps()).dumps() == df.dumps()
 
     def test_leaf_orthonormality_enforced(self):
-        with pytest.raises(ValidationError):
-            DFLeaf(index=0, weight=1.0, eigvals=np.array([0.5, 0.4]),
-                   vecs=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        for build in one_leaf_builds(dict(
+                index=0, weight=1.0, eigvals=np.array([0.5, 0.4]),
+                vecs=np.array([[1.0, 0.0], [1.0, 0.0]]))):
+            with pytest.raises(ValidationError):
+                build()
 
     def test_json_round_trip(self):
         df = factorize(make_set(3, 4, seed=11))

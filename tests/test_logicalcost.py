@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +127,17 @@ class TestEstimateLogical:
         est = estimate_logical(factorize(ints))
         assert est.qpe_steps == 0
         assert est.t_count == 0
+
+    def test_refuses_bound_past_half_eps(self):
+        """Half of eps_total_energy is the truncation's share: a bound at
+        it is priced, one past it is refused."""
+        df = dataclasses.replace(
+            factorize(gen_synthetic(SyntheticSpec(n_orb=3, rank=6, seed=2))),
+            truncation_bound=5e-4)
+        assert estimate_logical(df).t_count > 0
+        with pytest.raises(ValidationError, match=re.escape(
+                "truncation_bound 0.0005 exceeds half of --eps 0.0009")):
+            estimate_logical(df, EstimationConfig(eps_total_energy=9e-4))
 
     def test_t_count_at_least_steps(self):
         est = full_rank_estimate(4)
