@@ -6,7 +6,8 @@ written); arrays and tuples become lists, and None values are omitted.
 Decoding follows the annotations (int, float, str, dict, np.ndarray,
 tuple[X, ...], dict[str, X], X | None, nested dataclasses) and names the
 dotted field (a dict value by its key) of an unknown or missing key or a
-mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``.
+mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``. A float field
+reads a JSON integer as json reads it with a fraction (``1e400`` as inf).
 
 ``dumps``, the package's one JSON writer, indents by one space or, with
 ``indent=None``, writes one line. A NaN or infinity is no JSON number, so it
@@ -119,6 +120,8 @@ def decode(cls, data, where: str, error=ParseError):
                 return array.astype(float, copy=False)
     elif cls in (int, float, str, dict) and not isinstance(data, bool) \
             and isinstance(data, (int, float) if cls is float else cls):
+        if cls is float and isinstance(data, int):  # as json reads the same
+            return float(f"{data}.0")  # digits as a float: inf past the range
         return data
     kind = ("a list" if ... in args
             else "a JSON object" if args or dataclasses.is_dataclass(cls)

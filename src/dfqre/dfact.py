@@ -109,24 +109,26 @@ class DFDecomposition:
         if len(self.leaves) > self.n_orb * (self.n_orb + 1) // 2:
             raise ValidationError("more leaves than pair-matrix dimension")
         n, leaves = self.n_orb, self.leaves
-        counts = np.array([leaf.eigvals.size for leaf in leaves], dtype=int)
-        size, k_max = len(leaves), counts.max(initial=0)
+        counts = [leaf.eigvals.size for leaf in leaves]
+        size, k_max = len(leaves), max(counts, default=0)
         eigvals, vecs = np.zeros((size, k_max)), np.zeros((size, k_max, n))
-        for r, (leaf, k) in enumerate(zip(leaves, counts.tolist())):
+        for r, (leaf, k) in enumerate(zip(leaves, counts)):
             if leaf.eigvals.ndim != 1 or leaf.vecs.shape != (k, n):
                 raise ValidationError(
                     f"leaf {leaf.index} has eigvals {leaf.eigvals.shape} and "
                     f"vecs {leaf.vecs.shape}, not shapes (k,) and (k, {n})")
             eigvals[r, :k] = leaf.eigvals
             vecs[r, :k] = leaf.vecs
-        finite = (np.isfinite([leaf.weight for leaf in leaves])
-                  & np.isfinite(eigvals).all(axis=1)
-                  & np.isfinite(vecs.reshape(size, k_max * n)).all(axis=1))
-        if not finite.all():
+        weights = [leaf.weight for leaf in leaves]
+        if not (all(map(math.isfinite, weights)) and np.isfinite(eigvals).all()
+                and np.isfinite(vecs).all()):
+            finite = (np.isfinite(weights)  # name the first bad leaf
+                      & np.isfinite(eigvals).all(axis=1)
+                      & np.isfinite(vecs.reshape(size, -1)).all(axis=1))
             bad = leaves[finite.argmin()].index
             raise ValidationError(f"leaf {bad} holds a non-finite value")
         gram = vecs @ vecs.transpose(0, 2, 1)
-        kept = np.arange(k_max) < counts[:, None]
+        kept = np.arange(k_max) < np.array(counts, dtype=int)[:, None]
         gram.reshape(size, k_max * k_max)[:, ::k_max + 1] -= kept  # - identity
         if np.abs(gram, out=gram).max(initial=0.0) > 1e-10:
             raise ValidationError("leaf eigenvectors are not orthonormal")

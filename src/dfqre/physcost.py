@@ -29,6 +29,7 @@ from .errors import (DistanceSaturationError, FactoryBudgetError,
 from .logicalcost import EstimationConfig
 
 MAX_DISTANCE = 99
+FLOAT_MAX = sys.float_info.max  # the largest finite float
 
 # 15-to-1 distillation constants: acceptance-counting output error per
 # round, residual Clifford error locations per output T state (used to
@@ -149,11 +150,12 @@ def _min_distance(scale: float, limit: float, model: _Model) -> int | None:
     """Smallest odd d in [d_min, MAX_DISTANCE] with scale * p_L(d) <= limit;
     None for an int scale past the float range, whose product with any
     normal float p_L(d) exceeds 1 (and whose conversion would overflow)."""
-    if scale > sys.float_info.max:
+    if scale > FLOAT_MAX:
         return None
     if model.ladder is None:
         raise ValidationError(f"physical error rate {model.qp.p_gate} at or "
                               f"above threshold {model.code.p_threshold}")
+    scale = float(scale)  # the float each product would take, taken once
     for d, rate in model.ladder.items():
         if scale * rate <= limit:
             return d
@@ -247,14 +249,14 @@ def _price(model: _Model, config: EstimationConfig, n_alg_qubits: int,
 
     # the smallest odd d with tiles * cycles * p_L(d) within the logical
     # share: every tile is taken as active on every cycle
-    eps_logical = config.budget_split.logical
-    if not 0 < eps_logical < 1:
+    split = config.budget_split
+    if not 0 < split.logical < 1:
         raise ValidationError("budget_split.logical must lie in (0, 1)")
-    d = _min_distance(tiles * t_count, eps_logical, model)
+    d = _min_distance(tiles * t_count, split.logical, model)
     if d is None:
-        raise DistanceSaturationError(
-            f"no distance <= {MAX_DISTANCE} meets logical budget {eps_logical:g}")
-    per_t = config.budget_split.t_states / t_count
+        raise DistanceSaturationError(f"no distance <= {MAX_DISTANCE} meets "
+                                      f"logical budget {split.logical:g}")
+    per_t = split.t_states / t_count
     if not 0 < per_t < 1:
         raise ValidationError("budget_split.t_states per T state must lie "
                               f"in (0, 1), got {per_t:g}")
@@ -262,7 +264,7 @@ def _price(model: _Model, config: EstimationConfig, n_alg_qubits: int,
     n_factories = _count_factories(d, model.syndrome_round_fs, fd)
     factory_total = n_factories * fd.qubits_per_factory
     runtime = t_count * (model.syndrome_round_time * d)
-    if not math.isfinite(runtime) or fd.duration_fs > sys.float_info.max:
+    if not math.isfinite(runtime) or fd.duration_fs > FLOAT_MAX:
         raise ValidationError(
             "runtime or factory duration past the float range")
     return (d, tiles, n_factories, factory_total,

@@ -87,15 +87,31 @@ def exact_integer(text: str, what: str) -> int:
 
 @dataclass(frozen=True)
 class RowComparison:
+    """A published row, the model's four numbers, and derived comparisons."""
+
     row: ReportRow
     model_distance: int
     model_physical: int
     model_factories: int
     model_runtime_s: float
-    distance_match: bool
-    physical_rel_err: float
-    runtime_rel_err: float
-    factory_diff: int
+
+    @property
+    def distance_match(self) -> bool:
+        return self.model_distance == self.row.distance
+
+    @property
+    def physical_rel_err(self) -> float:
+        published = self.row.n_physical
+        return abs(self.model_physical - published) / published
+
+    @property
+    def runtime_rel_err(self) -> float:
+        published = self.row.runtime_s
+        return abs(self.model_runtime_s - published) / published
+
+    @property
+    def factory_diff(self) -> int:
+        return self.model_factories - self.row.n_factories
 
     @property
     def physical_ok(self) -> bool:
@@ -139,21 +155,13 @@ def reproduce_table(rows: list[ReportRow],
     results = []
     for number, row in enumerate(rows, start=1):
         try:
-            distance, _, factories, _, physical, runtime, *_ = _price(
+            distance, _, factories, _, physical, runtime, _, _, _ = _price(
                 model, config, row.n_logical, row.t_count)
         except DfqreError as exc:
             raise type(exc)(f"row {number} ({row.fragment} {row.basis}): "
                             f"{exc}") from None
-        results.append(RowComparison(
-            row=row,
-            model_distance=distance,
-            model_physical=physical,
-            model_factories=factories,
-            model_runtime_s=runtime,
-            distance_match=distance == row.distance,
-            physical_rel_err=abs(physical - row.n_physical) / row.n_physical,
-            runtime_rel_err=abs(runtime - row.runtime_s) / row.runtime_s,
-            factory_diff=factories - row.n_factories))
+        results.append(RowComparison(row, distance, physical, factories,
+                                     runtime))
     return TableComparison(rows=tuple(results))
 
 

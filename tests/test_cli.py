@@ -504,6 +504,25 @@ def test_parse_xyz_json_golden_bytes(capsys):
         1057, "d1d347dc751c37f420e10b93ca203621f91f7fe9e197ad38dfa0daef1257f87d")
 
 
+# Byte goldens of the reproduce-table stdout, whose rows print every
+# derived comparison (distance match, both relative errors, factory
+# difference): at the defaults, and at a tighter budget that misses 16 rows.
+@pytest.mark.parametrize("config, size, sha, mismatches", [
+    ({}, 2561,
+     "4a4f5729158313ae8798ddf92378346ad1dbd4899b02b221b76032e7b724961a", 0),
+    ({"estimation": {"error_budget": 0.001}}, 2689,
+     "d6c74f3ad54bd1519c53c1a06e56d1497b861cf6ad16a65c1a87b2ca4084d604", 16),
+], ids=["defaults", "budget-1e-3"])
+def test_reproduce_table_stdout_golden_bytes(tmp_path, capsys, config, size,
+                                             sha, mismatches):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "reproduce-table"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(" MISMATCH\n") == mismatches
+    assert (len(out), _sha256(out)) == (size, sha)
+
+
 LOGICAL = {"n_orb": 4, "n_logical_qubits": 100, "t_count": 10**9,
            "qpe_steps": 10**6, "lambda": 5.0}
 LEDGER = {"monomers": {"A": -1.0, "B": -2.0}}
@@ -688,6 +707,28 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
                                    "vecs": [[[1.0], [0.0]], [[0.0], [1.0]]]}),
      ["estimate-logical", "{}"], "invalid-input",
      "leaf 1 has eigvals (2,) and vecs (2, 2, 1), not shapes (k,) and (k, 2)"),
+    # a float field given as an integer past the float range is refused as
+    # the same value written 1e400, which json reads as inf
+    (_small_df("core_energy", value=10**400), ["estimate-logical", "{}"],
+     "invalid-input", "h_bar and core_energy must be finite"),
+    (_small_df("truncation_bound", value=10**400), ["estimate-logical", "{}"],
+     "invalid-input",
+     "tolerances and truncation_bound must be non-negative and finite"),
+    (_small_df("tol_first", value=10**400), ["estimate-logical", "{}"],
+     "invalid-input",
+     "tolerances and truncation_bound must be non-negative and finite"),
+    (_small_df("leaves", 0, "weight", value=10**400),
+     ["estimate-logical", "{}"], "invalid-input",
+     "leaf 0 holds a non-finite value"),
+    (json.dumps({"estimation": {"eps_total_energy": 10**400}}),
+     ["--config", "{}", "estimate-physical", "--qubits", "100", "--tcount",
+      "1000000"], "invalid-input",
+     "eps_total_energy must be positive and finite"),
+    (json.dumps({"qubit_presets": {"x": {"t_gate": 10**400}}}), PHYSICAL_X,
+     "invalid-input", "t_gate and t_meas must be positive, their syndrome "
+     "round finite and at least 1 fs"),
+    (json.dumps({"monomers": {"A": 10**400}}), ["fmo-assemble", "{}"],
+     "invalid-input", "non-finite energy inf for A"),
     ("3\ncomment\n", ["parse-xyz", "{}"], "empty-input",
      "no data lines in XYZ input"),
     ("H nan 0 0\n", ["parse-xyz", "{}"], "parse",
@@ -704,7 +745,9 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
         "unit-p-gate", "unit-error-budget", "zero-rotation-coefficient",
         "negative-t-states-share", "negative-t-count", "t-count-below-steps",
         "h-bar-2x3", "h-bar-asymmetric", "two-leaves-at-n-orb-1",
-        "leaf-eigvals-column", "leaf-vecs-3d",
+        "leaf-eigvals-column", "leaf-vecs-3d", "big-int-core-energy",
+        "big-int-truncation-bound", "big-int-tol-first", "big-int-leaf-weight",
+        "big-int-eps-total-energy", "big-int-t-gate", "big-int-monomer",
         "xyz-count-and-label-only", "xyz-nan-coordinate", "xyz-no-count-line",
         "xyz-atom-like-label", "from-logical-and-counts"])
 def test_refusal_reports_category_and_message(tmp_path, capsys, text, argv,

@@ -177,6 +177,18 @@ def test_mistyped_dict_value_names_its_key(data, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("data", [
+    3, -7, 2**53 + 1, 2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400,
+    -10**400], ids=["3", "-7", "2**53+1", "below-overflow", "overflow",
+                    "10**400", "-10**400"])
+def test_float_field_reads_integer_as_json_reads_float_literal(data):
+    # past the float range an integer is the infinity json reads for the
+    # same digits written with a fraction, not an int the checks miss
+    got = codec.decode(float, data, "doc")
+    assert type(got) is float
+    assert repr(got) == repr(json.loads(f"{data}.0"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_orb=st.integers(1, 5), data=st.data())
 def test_decomposition_round_trip(n_orb, data):

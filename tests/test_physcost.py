@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfqre import pipeline
 from dfqre.errors import (DistanceSaturationError, FactoryBudgetError,
                           ValidationError)
 from dfqre.logicalcost import BudgetSplit, EstimationConfig
 from dfqre.physcost import (CodeParams, QubitParams, _count_factories,
-                            _factory, _logical_error_rate, _model,
-                            estimate_physical, get_preset)
+                            _factory, _logical_error_rate, _min_distance,
+                            _model, estimate_physical, get_preset)
 
 QP = get_preset("qubit_gate_ns_e4")
 CODE = CodeParams()
@@ -68,6 +70,17 @@ class TestSelectDistance:
                                                             CODE)
         assert failure_d17 > EPS_LOGICAL
         assert failure_d17 == pytest.approx(3.38e-3, rel=0.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**200), st.sampled_from(range(3, 100, 2)))
+    def test_limit_at_a_rung_exactly(self, scale, d):
+        # the limit is rung d's own int * float product, so each rung is
+        # compared as that product rounds, and the search stops at d or at
+        # a smaller d that meets the limit too
+        model = _model(QP, CODE)
+        limit = scale * model.ladder[d]
+        assert _min_distance(scale, limit, model) == next(
+            e for e, rate in model.ladder.items() if scale * rate <= limit)
 
     def test_monotone_in_cycles(self):
         distances = [estimate_physical(1000, c).distance

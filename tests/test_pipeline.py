@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -179,23 +178,22 @@ def _expected(rows, qp, code, config):
         except DfqreError as exc:
             return (type(exc),
                     f"row {number} ({row.fragment} {row.basis}): {exc}")
-        results.append(RowComparison(
-            row=row,
-            model_distance=est.distance,
-            model_physical=est.n_physical_qubits,
-            model_factories=est.n_factories,
-            model_runtime_s=est.runtime_s,
-            distance_match=est.distance == row.distance,
-            physical_rel_err=abs(est.n_physical_qubits - row.n_physical)
-            / row.n_physical,
-            runtime_rel_err=abs(est.runtime_s - row.runtime_s) / row.runtime_s,
-            factory_diff=est.n_factories - row.n_factories))
+        results.append(RowComparison(row, est.distance,
+                                     est.n_physical_qubits, est.n_factories,
+                                     est.runtime_s))
     return results
 
 
+ROW_VALUES = ("row", "model_distance", "model_physical", "model_factories",
+              "model_runtime_s", "distance_match", "physical_rel_err",
+              "runtime_rel_err", "factory_diff")
+
+
 def _bits(comparison):
-    """Every field's type and repr: -0.0, 0 and 0.0 all differ."""
-    return [(type(v), repr(v)) for v in dataclasses.astuple(comparison)]
+    """Every stored and derived value's type and repr: -0.0, 0 and 0.0 all
+    differ."""
+    return [(type(v), repr(v)) for v in (getattr(comparison, name)
+                                         for name in ROW_VALUES)]
 
 
 def assert_priced_alike(rows, qp=None, code=None, config=None):
