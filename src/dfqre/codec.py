@@ -6,8 +6,9 @@ written); arrays and tuples become lists, and None values are omitted.
 Decoding follows the annotations (int, float, str, dict, np.ndarray,
 tuple[X, ...], dict[str, X], X | None, nested dataclasses) and names the
 dotted field (a dict value by its key) of an unknown or missing key or a
-mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``. A float field
-reads a JSON integer as json reads it with a fraction (``1e400`` as inf).
+mistyped value, e.g. ``cfg.json.qubit_presets.slow.t_gate``. A float field,
+and each entry of an array field, reads a JSON integer as json reads it
+with a fraction (``1e400`` as inf); an array holding a bool is refused.
 
 ``dumps``, the package's one JSON writer, indents by one space or, with
 ``indent=None``, writes one line. A NaN or infinity is no JSON number, so it
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import reprlib
@@ -115,8 +117,17 @@ def decode(cls, data, where: str, error=ParseError):
                 for key, item in data.items()}
     if cls is np.ndarray and isinstance(data, list):
         with contextlib.suppress(ValueError):  # ragged nesting
-            array = np.array(data)
-            if array.dtype.kind in "iuf":
+            array, entries = np.array(data), data
+            # a bool reads 0 or 1 in a float array, and an integer past int64
+            # makes an object array: only then is each entry's type read
+            if array.dtype.kind == "f" and not ((array == 0) | (array == 1)).any():
+                return array
+            for _ in range(array.ndim - 1):
+                entries = list(itertools.chain.from_iterable(entries))
+            if {*map(type, entries)} <= {int, float}:
+                if array.dtype.kind == "O":  # read as float fields are
+                    array = np.array([decode(float, item, where)
+                                      for item in entries]).reshape(array.shape)
                 return array.astype(float, copy=False)
     elif cls in (int, float, str, dict) and not isinstance(data, bool) \
             and isinstance(data, (int, float) if cls is float else cls):

@@ -29,13 +29,6 @@ from .ingest import IntegralSet, _pair_indices, _pair_numbers
 # Zero-drops do not consume the truncation budget; they express rank.
 ZERO_EIG_RTOL = 1e-12
 
-# Spin multiplicity factor entering lambda_V. Each squared one-body factor
-# sums over both spin sectors (2 per factor, 4 for the square) and the 1/2
-# prefactor of the two-body term leaves 8/4 = 2. It is pinned against spectra
-# of verify.build_fock_matrix by tests/test_dfact.py::TestLambdaNorms, tight in
-# test_tight_on_one_orbital, a bound in test_upper_bounds_shifted_spectrum.
-SPIN_SQUARE_FACTOR = 8.0
-
 
 @dataclass(frozen=True)
 class DFLeaf:
@@ -281,16 +274,17 @@ def reconstruct(df: DFDecomposition) -> np.ndarray:
 def lambda_norms(df: DFDecomposition) -> tuple[float, float, float]:
     """Block-encoding one-norms (lambda_T, lambda_V, lambda).
 
-    lambda_T sums |eigenvalues| of hbar; lambda_V applies the spin-square
-    factor to the weighted squared leaf one-norms. Their sum upper-bounds
-    the Fock-space spectral norm of the Hamiltonian shifted by
-    ``qpe_energy_offset``.
+    lambda_T sums |eigenvalues| of hbar; lambda_V is twice the weighted
+    squared leaf one-norms. Their sum upper-bounds the Fock-space spectral
+    norm of the Hamiltonian shifted by ``qpe_energy_offset``.
     """
     lam_t = float(np.abs(np.linalg.eigvalsh(df.h_bar)).sum())
     # s * s, not s ** 2: a square past the float range is inf, not an
     # OverflowError, and the non-finite lambda is refused downstream
     norms = (float(np.abs(leaf.eigvals).sum()) for leaf in df.leaves)
-    lam_v = 0.25 * SPIN_SQUARE_FACTOR * sum(
+    # 2: both spins of each squared factor (4) times the two-body 1/2, pinned
+    # by the Fock spectra of tests/test_dfact.py::TestLambdaNorms
+    lam_v = 2.0 * sum(
         abs(leaf.weight) * (s * s) for leaf, s in zip(df.leaves, norms))
     return lam_t, lam_v, lam_t + lam_v
 

@@ -46,7 +46,9 @@ MAX_DISTILL_ROUNDS = 3
 class QubitParams:
     """Gate and measurement times in seconds (a syndrome round of 1 fs or
     more), and error probabilities in [0, 1). A zero probability is stored
-    as 0.0, so -0.0 never reaches an error rate such as ``output_error``."""
+    as 0.0, so -0.0 never reaches an error rate such as ``output_error``.
+    ``p_meas`` is checked but read by no formula: the surface-code rate and
+    the distillation chain both take ``p_gate``."""
 
     name: str = field(default="qubit_gate_ns_e4", metadata={"json": None})
     t_gate: float = 50e-9

@@ -61,7 +61,6 @@ class FockMatrix:
         return occupied.sum(axis=0, dtype=float)
 
 
-@functools.lru_cache(maxsize=None)
 def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupancy and Jordan-Wigner sign of spin-orbital p in every state.
 
@@ -71,9 +70,7 @@ def _jordan_wigner_tables(n_spin_orb: int) -> tuple[np.ndarray, np.ndarray]:
     states = np.arange(1 << n_spin_orb, dtype=np.int64)
     bits = (states >> np.arange(n_spin_orb)[:, None]) & 1
     parity_below = np.cumsum(bits, axis=0) - bits
-    occupied, sign = bits == 1, 1.0 - 2.0 * (parity_below % 2)
-    occupied.flags.writeable = sign.flags.writeable = False  # cached, shared
-    return occupied, sign
+    return bits == 1, 1.0 - 2.0 * (parity_below % 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,33 +275,15 @@ def build_walk_operator(hamiltonian: np.ndarray, lam: float) -> np.ndarray:
     return walk
 
 
-@dataclass(frozen=True)
-class WalkSpectrumReport:
-    lam: float
-    pairs: tuple[tuple[float, float], ...]  # (energy, matched walk phase)
-    max_residual: float
-
-
-def walk_spectrum_report(hamiltonian: np.ndarray, lam: float
-                         ) -> WalkSpectrumReport:
-    """Match walk eigenphases against arcsin of the spectrum of H/lam.
-
-    Phases are reported in (-pi, pi]; each energy may match either branch
-    (theta or pi - theta), both of which satisfy sin(theta) = E/lam.
-    """
-    walk = build_walk_operator(hamiltonian, lam)
-    phases = np.angle(np.linalg.eigvals(walk))
+def walk_phase_residual(hamiltonian: np.ndarray, lam: float) -> float:
+    """Largest |sin(theta) - E/lam| over the spectrum of H, each energy E
+    matched to its nearest walk eigenphase theta, taken in (-pi, pi]: either
+    branch (theta or pi - theta) satisfies sin(theta) = E/lam."""
+    phases = np.angle(np.linalg.eigvals(build_walk_operator(hamiltonian, lam)))
     phases = np.where(phases <= -np.pi + 1e-15, np.pi, phases)
     energies = np.linalg.eigvalsh(np.asarray(hamiltonian))
-    pairs = []
-    max_residual = 0.0
-    for energy in energies:
-        residuals = np.abs(np.sin(phases) - energy / lam)
-        best = int(np.argmin(residuals))
-        pairs.append((float(energy), float(phases[best])))
-        max_residual = max(max_residual, float(residuals[best]))
-    return WalkSpectrumReport(lam=float(lam), pairs=tuple(pairs),
-                              max_residual=max_residual)
+    return max((float(np.abs(np.sin(phases) - energy / lam).min())
+                for energy in energies), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -315,17 +294,13 @@ class PhaseSamples:
     counts: np.ndarray
     shots: int
 
-    @property
-    def phases(self) -> np.ndarray:
-        """Phase value (in turns, [0, 1)) of each outcome bin."""
-        return np.arange(1 << self.m) / (1 << self.m)
-
     def mode_phase(self) -> float:
         return float(np.argmax(self.counts)) / (1 << self.m)
 
     def mass_within(self, phase: float, tol: float) -> float:
         """Fraction of shots within ``tol`` turns of ``phase`` (mod 1)."""
-        delta = np.abs((self.phases - phase + 0.5) % 1.0 - 0.5)
+        bins = np.arange(1 << self.m) / (1 << self.m)  # each outcome's phase
+        delta = np.abs((bins - phase + 0.5) % 1.0 - 0.5)
         return float(self.counts[delta <= tol + 1e-15].sum()) / self.shots
 
 
@@ -383,7 +358,6 @@ def run_qpe(unitary: np.ndarray, state: np.ndarray, m: int, shots: int,
 
     transformed = np.fft.fft(amplitudes) / math.sqrt(1 << m)
     probs = np.abs(transformed) ** 2
-    probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = np.random.Generator(np.random.PCG64(seed))
     counts = rng.multinomial(shots, probs)

@@ -402,6 +402,21 @@ def _decomposition_dict(tmp_path, integral_file, capsys):
     return strict_json(df_path.read_text())
 
 
+def _h_bar_pair(d, value):
+    """JSON text of decomposition ``d`` with h_bar[0][1] = h_bar[1][0] =
+    ``value``."""
+    h_bar = [list(row) for row in d["h_bar"]]
+    h_bar[0][1] = h_bar[1][0] = value
+    return json.dumps(dict(d, h_bar=h_bar))
+
+
+def _first_leaf(d, **fields):
+    """JSON text of decomposition ``d`` with ``fields`` of its first leaf
+    replaced."""
+    leaf = dict(d["leaves"][0], **fields)
+    return json.dumps(dict(d, leaves=[leaf, *d["leaves"][1:]]))
+
+
 @pytest.mark.parametrize("corrupt, category", [
     (lambda d: "{not json", "parse"),
     (lambda d: "", "parse"),
@@ -414,6 +429,24 @@ def _decomposition_dict(tmp_path, integral_file, capsys):
     (lambda d: json.dumps(dict(d, leaves=[
         dict(leaf, vecs=[row + [0.0] for row in leaf["vecs"]])
         for leaf in d["leaves"]])), "invalid-input"),
+    # an array entry follows the float-field rule: a bool is no number, and
+    # an integer is read as the float json reads for its digits
+    pytest.param(lambda d: _h_bar_pair(d, True), "parse", id="h-bar-true"),
+    pytest.param(lambda d: _first_leaf(
+        d, eigvals=[True, *d["leaves"][0]["eigvals"][1:]]), "parse",
+        id="eigvals-true"),
+    pytest.param(lambda d: _first_leaf(
+        d, eigvals=[True] * len(d["leaves"][0]["eigvals"])), "parse",
+        id="eigvals-all-true"),
+    pytest.param(lambda d: _first_leaf(d, weight=True), "parse",
+                 id="weight-true"),
+    pytest.param(lambda d: _h_bar_pair(d, 10**400), "invalid-input",
+                 id="h-bar-401-digits"),  # refused as 1e400 is
+    pytest.param(lambda d: _h_bar_pair(d, "1e400"), "parse",
+                 id="h-bar-string"),
+    pytest.param(lambda d: _first_leaf(d, vecs=[
+        [2**70] * len(row) for row in d["leaves"][0]["vecs"]]),
+        "invalid-input", id="vecs-2**70"),  # read, but not orthonormal
 ])
 def test_bad_decomposition_reports_category(tmp_path, integral_file, capsys,
                                             corrupt, category):
@@ -424,6 +457,18 @@ def test_bad_decomposition_reports_category(tmp_path, integral_file, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert strict_json(captured.err)["error"] == category
+
+
+def test_integer_past_int64_in_array_is_priced_as_float(tmp_path,
+                                                       integral_file, capsys):
+    d = _decomposition_dict(tmp_path, integral_file, capsys)
+    path = tmp_path / "big.json"
+    outputs = []
+    for value in (2**70, float(2**70)):
+        path.write_text(_h_bar_pair(d, value))
+        assert main(["estimate-logical", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_estimate_physical_golden_stdout(capsys):

@@ -177,16 +177,40 @@ def test_mistyped_dict_value_names_its_key(data, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("data", [
+INTEGERS = pytest.mark.parametrize("data", [
     3, -7, 2**53 + 1, 2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400,
     -10**400], ids=["3", "-7", "2**53+1", "below-overflow", "overflow",
                     "10**400", "-10**400"])
+
+
+@INTEGERS
 def test_float_field_reads_integer_as_json_reads_float_literal(data):
     # past the float range an integer is the infinity json reads for the
     # same digits written with a fraction, not an int the checks miss
     got = codec.decode(float, data, "doc")
     assert type(got) is float
     assert repr(got) == repr(json.loads(f"{data}.0"))
+
+
+@INTEGERS
+@pytest.mark.parametrize("others", [[], [0.5], [2**70]],
+                         ids=["alone", "with-float", "with-2**70"])
+def test_array_entry_reads_integer_as_float_field(data, others):
+    # an integer past int64 makes numpy build an object array: each entry
+    # is still read as a float field reads it
+    got = codec.decode(np.ndarray, [[data, *others]] * 2, "doc")
+    assert got.dtype == float and got.shape == (2, 1 + len(others))
+    want = [codec.decode(float, x, "doc") for x in (data, *others)]
+    assert [repr(x) for x in got[1].tolist()] == [repr(x) for x in want]
+
+
+@pytest.mark.parametrize("data", [
+    [True], [0.5, True], [[0.5, 2.0], [False, 1.0]], [1, True], [2**70, True],
+    [[1.0, None]], [0.5, "1"]])
+def test_array_of_numbers_refuses_other_entries(data):
+    # a bool reads 1 or 0 in numpy's array, so the array's dtype hides it
+    with pytest.raises(ParseError, match="^doc must be an array of numbers"):
+        codec.decode(np.ndarray, data, "doc")
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,7 +25,7 @@ from dfqre.ingest import SyntheticSpec, gen_synthetic, parse_integrals
 from dfqre.verify import (FOCK_MAX_ORBITALS, build_fock_matrix,
                           build_walk_operator, check_df_equivalence,
                           fock_matrix_of_decomposition, run_qpe,
-                          signed_phase, walk_spectrum_report)
+                          signed_phase, walk_phase_residual)
 
 
 def hubbard_atom(eps, u, core=0.0):
@@ -604,8 +604,19 @@ class TestWalkOperator:
         mat = rng.standard_normal((4, 4))
         ham = (mat + mat.T) / 2
         lam = 1.5 * np.abs(np.linalg.eigvalsh(ham)).max()
-        report = walk_spectrum_report(ham, lam)
-        assert report.max_residual <= 1e-8
+        assert walk_phase_residual(ham, lam) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_of_a_wrong_walk(self, seed, monkeypatch):
+        """Negative control: with the identity for the walk, every phase is
+        0, so the residual is the largest |E|/lam, which it must report."""
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((4, 4))
+        ham = (mat + mat.T) / 2
+        norm = np.abs(np.linalg.eigvalsh(ham)).max()
+        monkeypatch.setattr(verify, "build_walk_operator",
+                            lambda h, lam: np.eye(2 * len(h)))
+        assert walk_phase_residual(ham, 1.5 * norm) >= norm / (1.5 * norm)
 
     def test_unitarity(self):
         rng = np.random.default_rng(3)
