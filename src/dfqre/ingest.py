@@ -19,23 +19,24 @@ Integral file::
 
 Only one representative per 8-fold symmetry class is required, written as
 any of its images; the class is stored once, in ``IntegralSet.pairs``.
-Repeated records must agree within ``DUPLICATE_TOL``: an h1 or h2 record is compared with the first
-record of its class, which supplies the value, and a core energy with the
-latest one before it, the last one supplying the value.
+Repeated records must agree within ``DUPLICATE_TOL``: an h1 or h2 record
+is compared with the first record of its class, which supplies the value,
+and a core energy with the latest one before it, the last one supplying it.
 
 A bad file raises the ParseError of its first offending line in file
 order, with that line's number. On one line the checks run as listed:
 field count, number syntax, finiteness, index bounds or mixed zero/nonzero
 indices, then the duplicate rule ("previous at line N"). If the pair
 matrix (8 (n(n+1)/2)^2 bytes; n_orb up to about 250 fits in 8 GB) would
-exceed the machine's physical memory, only the per-line checks run, no
-array is built, and a file that passes them is a ResourceLimitError.
+exceed the machine's physical memory, the file is read line by line with
+every check, the duplicate rule included, no pair matrix is built, and a
+file that passes them is a ResourceLimitError.
 
 numpy's C reader (``np.loadtxt``) reads all records into flat arrays in one
 call, and the checks run on whole arrays. If it refuses the file (a token
 only Python's float() or int() reads, such as ``1_0``; a wrong field count;
-no records) or a check fails, the file is read again line by line. Only
-that path counts lines, so it alone names the error and its line.
+no records) or a check fails, the file is read again line by line, which
+raises the first faulty line's error: only that path counts lines.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Geometry:
         return len(self.atoms)
 
 
-def parse_xyz(text: str, label: str = "") -> Geometry:
+def parse_xyz(text: str) -> Geometry:
     """Parse XYZ-format text into a Geometry.
 
     A leading bare-integer count line (with the following line taken as a
@@ -128,12 +129,11 @@ def parse_xyz(text: str, label: str = "") -> Geometry:
     if not rows:
         raise EmptyInputError("no data lines in XYZ input")
 
-    first_no, first = rows[0]
+    label, first = "", rows[0][1]
     if len(first.split()) == 1 and _is_int(first):
         rows = rows[1:]  # count line; the value itself is not enforced
         if rows and not _looks_like_atom_row(rows[0][1]):
-            label = rows[0][1] if not label else label
-            rows = rows[1:]
+            label, rows = rows[0][1], rows[1:]
     if not rows:
         raise EmptyInputError("no data lines in XYZ input")
 
@@ -271,7 +271,7 @@ def parse_integrals(text: str) -> IntegralSet:
 
     numpy's C reader reads every record; the checks and the pair-matrix
     fill run on whole arrays. A file it refuses, or one that fails a
-    check, is read again line by line (contract: module docstring).
+    check, is read line by line (contract: module docstring).
     """
     if not text.isascii() or any(sep in text for sep in "\r\v\f\x1c\x1d\x1e"):
         for sep in _LINE_BREAKS:  # else every break is already "\n"
@@ -280,35 +280,28 @@ def parse_integrals(text: str) -> IntegralSet:
     need = 8 * (n_orb * (n_orb + 1) // 2)**2  # bytes of the float64 pair matrix
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        lines = itertools.islice(enumerate(_lines(text), 1), no, None)
-        errors = (_line_error(raw, k, n_orb) for k, raw in lines
-                  if raw.split("#", 1)[0].split())
-        raise next(filter(None, errors), ResourceLimitError(
+        _read_lines(text, no, n_orb)  # raises a faulty line's ParseError first
+        raise ResourceLimitError(
             f"NORB {n_orb}: the pair matrix needs {need} bytes, more than the "
-            f"{have} bytes of memory"))
-    values, indices = _read_records(text, no, n_orb) or (None, None)
-    if values is not None:
-        order, keys, starts, prev, clash = _classes(values, indices, n_orb)
-    if values is None or clash.any():
-        # Only this path knows line numbers; it names the first bad line.
-        values, indices, lines, error = _read_lines(text, no, n_orb)
-        order, keys, starts, prev, clash = _classes(values, indices, n_orb)
-        if clash.any():  # a clash comes before ``error``'s line
-            at = np.argmin(order[clash])
-            row, before = order[clash][at], prev[clash][at]
-            i, j, k, l = indices[:, row].tolist()
-            what = (f"h2 record for {canonical_h2_index(i, j, k, l)}" if k
-                    else f"h1 record for {canonical_pair_index(i, j)}" if i
-                    else "core energy")
-            raise ParseError(f"conflicting {what} (previous at line {lines[before]})",
-                             line=lines[row])
-        if error is not None:
-            raise error
+            f"{have} bytes of memory")
+    records = _read_records(text, no, n_orb)
+    if records is None:  # the line reader raises the first bad line's error
+        values, indices = _read_lines(text, no, n_orb)
+        records = np.array(values), np.array(indices, np.int64).reshape(-1, 4).T
+    values, indices = records
+    order, keys, starts = _classes(indices, n_orb)
+    # A record is checked against its class's first record, a core energy
+    # against the latest one.
+    prev = order[np.maximum.accumulate(np.where(starts, np.arange(len(keys)), 0))]
+    prev = np.where(keys == 0, np.r_[order[:1], order[:-1]], prev)
+    clash = np.abs(values[order] - values[prev]) > DUPLICATE_TOL
+    if clash.any():  # the line reader counts lines, so it names the clash
+        _read_lines(text, no, n_orb)
 
     core, firsts = order[keys == 0], order[starts & (keys > 0)]
     core_energy = values[core[-1]] if len(core) else 0.0
     (a, b, c, d), v = indices[:, firsts] - 1, values[firsts]
-    del values, indices, order, keys, starts, prev, clash
+    del records, values, indices, order, keys, starts, prev, clash
     one, two = c < 0, c >= 0
     h1 = np.zeros((n_orb, n_orb))
     h1[a[one], b[one]] = h1[b[one], a[one]] = v[one]
@@ -362,25 +355,48 @@ def _read_records(text: str, skip: int, n_orb: int):
     return values, indices
 
 
-def _read_lines(text: str, skip: int, n_orb: int):
-    """Values, (4, n) indices and line numbers of the records before the
-    first line that fails a per-line check, and that line's error."""
-    values, tokens, lines, error = [], [], [], None
+def _read_lines(text: str, skip: int, n_orb: int) -> tuple[list, list]:
+    """Values and flat i j k l indices of the records after line ``skip``,
+    read line by line; raises the ParseError of the first faulty line, its
+    checks run in the documented order."""
+    values, indices, seen = [], [], {}  # class key: (value, line) it is checked against
     for no, raw in itertools.islice(enumerate(_lines(text), 1), skip, None):
-        if not (fields := raw.split("#", 1)[0].split()):
+        if not (line := raw.split("#", 1)[0].strip()):
             continue
-        if (error := _line_error(raw, no, n_orb)) is not None:
-            break
-        values.append(fields[0])
-        tokens += fields[1:]
-        lines.append(no)
-    indices = np.fromiter(map(int, tokens), np.int64, len(tokens)).reshape(-1, 4)
-    return np.fromiter(map(float, values), float, len(values)), indices.T, lines, error
+        if len(parts := line.split()) != 5:
+            raise ParseError(f"expected 'value i j k l', got {line!r}", line=no)
+        try:
+            value = float(parts[0])
+            idx = [int(p) for p in parts[1:]]
+        except ValueError:
+            raise ParseError(f"malformed record {line!r}", line=no) from None
+        if not math.isfinite(value):
+            raise ParseError("non-finite integral value", line=no)
+        if idx[2:] == [0, 0]:  # h1, or the core energy, which names no orbital
+            named = idx[:2] if idx[:2] != [0, 0] else []
+        elif 0 in idx:
+            raise ParseError(f"mixed zero/nonzero indices in {line!r}", line=no)
+        else:
+            named = idx
+        for x in named:
+            if not 1 <= x <= n_orb:
+                raise ParseError(f"orbital index {x} outside [1, {n_orb}]", line=no)
+        key = canonical_h2_index(*idx) if named[2:] else canonical_pair_index(*idx[:2])
+        first, at = seen.setdefault(key, (value, no))
+        if abs(value - first) > DUPLICATE_TOL:
+            what = (f"h2 record for {key}" if named[2:]
+                    else f"h1 record for {key}" if named else "core energy")
+            raise ParseError(f"conflicting {what} (previous at line {at})", line=no)
+        if not named:
+            seen[key] = value, no  # a core energy is checked against its latest
+        values.append(value)
+        indices += idx
+    return values, indices
 
 
-def _classes(values: np.ndarray, indices: np.ndarray, n_orb: int):
-    """Records sorted by symmetry class: the order, sorted keys, class
-    starts, the record each one is checked against, and which clash."""
+def _classes(indices: np.ndarray, n_orb: int):
+    """Records sorted by symmetry class: the order, sorted keys and class
+    starts."""
     # Pair numbers p of (ij) and q of (kl): 1-based in lexicographic order,
     # 0 for (0, 0). The key max(p, q)*(P+1) + min(p, q) is 0 for the core
     # energy and unique per h1 pair and per h2 symmetry class.
@@ -392,35 +408,7 @@ def _classes(values: np.ndarray, indices: np.ndarray, n_orb: int):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.diff(keys, prepend=-1) != 0
-    # A record is checked against its class's first record, a core energy
-    # against the latest one.
-    prev = order[np.maximum.accumulate(np.where(starts, np.arange(len(keys)), 0))]
-    prev = np.where(keys == 0, np.r_[order[:1], order[:-1]], prev)
-    clash = np.abs(values[order] - values[prev]) > DUPLICATE_TOL
-    return order, keys, starts, prev, clash
-
-
-def _line_error(raw: str, no: int, n_orb: int) -> ParseError | None:
-    """The error of one record line, checked in the documented order."""
-    line = raw.split("#", 1)[0].strip()
-    parts = line.split()
-    if len(parts) != 5:
-        return ParseError(f"expected 'value i j k l', got {line!r}", line=no)
-    try:
-        value = float(parts[0])
-        idx = [int(p) for p in parts[1:]]
-    except ValueError:
-        return ParseError(f"malformed record {line!r}", line=no)
-    if not math.isfinite(value):
-        return ParseError("non-finite integral value", line=no)
-    if idx[2:] == [0, 0]:
-        idx = [] if idx[:2] == [0, 0] else idx[:2]  # core energy or h1
-    elif 0 in idx:
-        return ParseError(f"mixed zero/nonzero indices in {line!r}", line=no)
-    for x in idx:
-        if not 1 <= x <= n_orb:
-            return ParseError(f"orbital index {x} outside [1, {n_orb}]", line=no)
-    return None
+    return order, keys, starts
 
 
 def serialize_integrals(integrals: IntegralSet) -> str:

@@ -62,8 +62,9 @@ class EstimationConfig:
             raise ValidationError("eps_total_energy must be positive and finite")
         if not 0 < self.error_budget < 1:
             raise ValidationError("error_budget must lie in (0, 1)")
-        if not self.rotation_cost_coefficient > 0:
-            raise ValidationError("rotation_cost_coefficient must be positive")
+        if not 0 < self.rotation_cost_coefficient < math.inf:
+            raise ValidationError("rotation_cost_coefficient must be " + (
+                "finite" if self.rotation_cost_coefficient > 0 else "positive"))
         split = self.budget_split or BudgetSplit(*[self.error_budget / 3.0] * 3)
         if abs(split.total - self.error_budget) > 1e-12:
             raise ValidationError("budget shares must sum to error_budget")

@@ -91,8 +91,9 @@ class CodeParams:
     d_min: int = 3
 
     def __post_init__(self):
-        if not self.a_coeff > 0:
-            raise ValidationError("a_coeff must be positive")
+        if not 0 < self.a_coeff < math.inf:
+            raise ValidationError("a_coeff must be "
+                                  + ("finite" if self.a_coeff > 0 else "positive"))
         if not 0 < self.p_threshold < 1:
             raise ValidationError("p_threshold must lie in (0, 1)")
         if (not isinstance(self.d_min, int) or self.d_min < 1

@@ -714,6 +714,10 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
     (json.dumps({"code": {"a_coeff": 0}}),
      ["--config", "{}", "reproduce-table"], "invalid-input",
      "a_coeff must be positive"),
+    # an infinite constant is refused where it enters, not priced
+    (json.dumps({"code": {"a_coeff": 10**400}}),
+     ["--config", "{}", "estimate-physical", "--qubits", "4728", "--tcount",
+      "1.17e14"], "invalid-input", "a_coeff must be finite"),
     (json.dumps({"code": {"p_threshold": 1}}),
      ["--config", "{}", "reproduce-table"], "invalid-input",
      "p_threshold must lie in (0, 1)"),
@@ -723,6 +727,9 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
      "invalid-input", "error_budget must lie in (0, 1)"),
     (json.dumps({"estimation": {"rotation_cost_coefficient": 0}}), LOGICAL_DF,
      "invalid-input", "rotation_cost_coefficient must be positive"),
+    ('{"estimation": {"rotation_cost_coefficient": Infinity}}',
+     ["--config", "{}", "reproduce-table"], "invalid-input",
+     "rotation_cost_coefficient must be finite"),
     (json.dumps({"estimation": {"budget_split": {
         "logical": 0.005, "t_states": -0.001, "rotations": 0.006}}}),
      LOGICAL_DF, "invalid-input", "budget share t_states must be >= 0"),
@@ -786,8 +793,9 @@ def test_bad_json_input_reports_category(tmp_path, capsys, name, text, argv,
     (json.dumps(LOGICAL), ["estimate-physical", "--from-logical", "{}",
                            "--qubits", "5", "--tcount", "7"],
      "invalid-input", "--from-logical excludes --qubits/--tcount"),
-], ids=["negative-tcount", "even-d-min", "zero-a-coeff", "unit-p-threshold",
-        "unit-p-gate", "unit-error-budget", "zero-rotation-coefficient",
+], ids=["negative-tcount", "even-d-min", "zero-a-coeff", "inf-a-coeff",
+        "unit-p-threshold", "unit-p-gate", "unit-error-budget",
+        "zero-rotation-coefficient", "inf-rotation-coefficient",
         "negative-t-states-share", "negative-t-count", "t-count-below-steps",
         "h-bar-2x3", "h-bar-asymmetric", "two-leaves-at-n-orb-1",
         "leaf-eigvals-column", "leaf-vecs-3d", "big-int-core-energy",
@@ -941,12 +949,17 @@ def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
         assert f"{path} row 1:" in err["message"]
 
 
-@pytest.mark.parametrize("norb", [3000, 99999999999999999999])
-def test_oversized_norb_reports_resource_limit(tmp_path, norb):
+@pytest.mark.parametrize("norb, record", [
+    (3000, "0.5 1 1 0 0"),
+    (99999999999999999999, "0.5 1 1 0 0"),
+    # an index past int64 but within NORB: no int64 array may hold it
+    (99999999999999999999, "0.5 99999999999999999998 1 0 0"),
+], ids=["3000", "99999999999999999999", "index-past-int64"])
+def test_oversized_norb_reports_resource_limit(tmp_path, norb, record):
     """A header whose pair matrix cannot fit is refused before any array
     is allocated: an error record naming the bytes, no traceback."""
     path = tmp_path / "big.ints"
-    path.write_text(f"NORB {norb}\n0.5 1 1 0 0\n")
+    path.write_text(f"NORB {norb}\n{record}\n")
     proc = _run_module("factorize", str(path))
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr

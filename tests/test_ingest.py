@@ -530,6 +530,8 @@ class TestBlockParserEquivalence:
         ("NORB 2\r0.1 1 1 1 1\r0.1 1 1 1\r", 3),          # bare \r
         ("NORB 2\n0.1 1 1 1 1\x0c0.1 1 1 1\n", 3),         # form feed
         ("NORB 2\n0.1 1 1 1 1\u20280.1 1 1 1\n", 3),
+        # a pair matrix past memory: the duplicate rule still runs first
+        ("NORB 4106\n0.5 1 1 0 0\n0.7 1 1 0 0\n", 3),
     ])
     def test_fault_corpus(self, text, line):
         kind, at, message = assert_same_as_reference(text)
@@ -600,7 +602,7 @@ class TestBlockParserEquivalence:
 
         def refuse(*args):
             raise AssertionError("a valid file was read line by line")
-        monkeypatch.setattr(ingest, "_line_error", refuse)
+        monkeypatch.setattr(ingest, "_read_lines", refuse)
         assert [_outcome(parse_integrals, text) for text in texts] == expected
 
     def test_serialized_files_bit_identical(self):
