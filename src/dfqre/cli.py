@@ -31,13 +31,14 @@ dotted path (``cfg.json.code.d_min``); a preset takes its name from its
 key, so a ``name`` key is unknown. The same faults in a decomposition,
 logical or ledger file are ``parse`` errors, as are non-UTF-8 bytes in any
 input file. A ledger pair that is not two known labels, a repeated pair or
-a non-finite energy is ``invalid-input``.
+a non-finite energy is ``invalid-input``. A CSV row with more or fewer
+cells than its header is ``parse``, and a ``reproduce-table`` fixture
+with no data row ``empty-input``, both naming the file.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -251,9 +252,8 @@ def _cmd_reproduce_table(args):
 
 def _cmd_fit_scaling(args):
     with codec.reading(args.csv):
-        reader = csv.DictReader(line for line in codec.read_text(
-            args.csv).splitlines() if not line.startswith("#"))
-        points = [(float(rec["n_orb"]), float(rec["t_count"])) for rec in reader]
+        points = [(float(rec["n_orb"]), float(rec["t_count"])) for _, rec in
+                  pipeline.csv_records(codec.read_text(args.csv), args.csv)]
     exponent = pipeline.fit_scaling(points)
     print(codec.dumps({"points": len(points), "exponent": exponent},
                       indent=None))

@@ -8,11 +8,12 @@ import io
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from .codec import read_text, reading
-from .errors import DfqreError, ValidationError
+from .errors import DfqreError, EmptyInputError, ParseError, ValidationError
 from .logicalcost import EstimationConfig
 from .physcost import CodeParams, QubitParams, _model, _price
 
@@ -36,16 +37,14 @@ class ReportRow:
 
 
 def load_reference_table(path: str | None = None) -> list[ReportRow]:
-    """Load the bundled 47-row fragment resource table (or a CSV like it)."""
+    """Load the bundled 47-row fragment resource table (or a CSV like it);
+    a CSV with no data row raises EmptyInputError naming it."""
     text = read_text(path) if path is not None else resources.files(
         "dfqre.data").joinpath("ab16_resource_table.csv").read_text()
     where = path or "the bundled table"
     rows = []
-    reader = csv.DictReader(
-        line for line in text.splitlines() if not line.startswith("#"))
     with reading(where):
-        for number, record in enumerate(reader, start=1):
-            at = f"{where} row {number}"
+        for at, record in csv_records(text, where):
             rows.append(ReportRow(
                 fragment=record["fragment"], basis=record["basis"],
                 n_orb=int(record["n_orb"]), n_logical=int(record["n_logical"]),
@@ -56,7 +55,23 @@ def load_reference_table(path: str | None = None) -> list[ReportRow]:
                 factory_qubits_total=_finite_cell(
                     record, "factory_qubits_total", at),
                 runtime_s=_finite_cell(record, "runtime_s", at, positive=True)))
+    if not rows:
+        raise EmptyInputError(f"{where} holds no data row")
     return rows
+
+
+def csv_records(text: str, where: str):
+    """(``"<where> row <n>"``, {column: cell}) for the n-th data row of CSV
+    ``text``, after its header; ``#`` lines and blank rows are skipped. A
+    row with more or fewer cells than the header raises ParseError."""
+    reader = csv.reader(
+        line for line in text.splitlines() if not line.startswith("#"))
+    header = next(reader, [])
+    for number, cells in enumerate(filter(None, reader), start=1):
+        if len(cells) != len(header):
+            raise ParseError(f"{where} row {number} has {len(cells)} cells; "
+                             f"the header has {len(header)}")
+        yield f"{where} row {number}", dict(zip(header, cells))
 
 
 def _finite_cell(record: dict, key: str, where: str,
@@ -85,8 +100,7 @@ def exact_integer(text: str, what: str) -> int:
         return int(value)
 
 
-@dataclass(frozen=True)
-class RowComparison:
+class RowComparison(NamedTuple):
     """A published row, the model's four numbers, and derived comparisons."""
 
     row: ReportRow

@@ -912,6 +912,12 @@ def test_estimate_physical_edge_categories(tmp_path, capsys, config, tcount,
     ("n_orb,t_count\n10,abc\n100,1e10\n", "fit-scaling"),
     (TABLE_HEADER.replace("n_orb", "norb") + TABLE_ROW, "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace("23", "x"), "reproduce-table"),
+    # a data row with an extra or a missing cell
+    ("n_orb,t_count\n20,1600,7\n100,1e10\n", "fit-scaling"),
+    ("n_orb,t_count\n20\n100,1e10\n", "fit-scaling"),
+    (TABLE_HEADER + TABLE_ROW.replace(",15,2.40e5", ",3,15,2.40e5"),
+     "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace(",2.31e5", ""), "reproduce-table"),
 ])
 def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     path = tmp_path / "bad.csv"
@@ -921,6 +927,22 @@ def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     assert captured.out == ""
     err = strict_json(captured.err)
     assert err["error"] == "parse" and str(path) in err["message"]
+    # a row of another width than the header is named by its data row
+    if len({line.count(",") for line in text.splitlines()}) > 1:
+        assert f"{path} row 1 has" in err["message"]
+
+
+@pytest.mark.parametrize("text", ["", TABLE_HEADER, "# a\n# b\n"],
+                         ids=["empty", "header-only", "comments-only"])
+def test_table_without_rows_reports_empty_input(tmp_path, capsys, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    assert main(["reproduce-table", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = strict_json(captured.err)
+    assert err == {"error": "empty-input",
+                   "message": f"{path} holds no data row"}
 
 
 @pytest.mark.parametrize("text, command", [

@@ -134,6 +134,17 @@ class TestReproduceTable:
         assert result.physical_rel_err <= 0.02
         assert result.runtime_rel_err <= 0.10
 
+    def test_row_is_immutable_and_built_by_keyword(self, reference_rows):
+        row = reproduce_table(reference_rows[:1]).rows[0]
+        assert RowComparison(
+            row=row.row, model_distance=row.model_distance,
+            model_physical=row.model_physical,
+            model_factories=row.model_factories,
+            model_runtime_s=row.model_runtime_s) == row
+        for name in ("model_distance", "physical_ok", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, 0)
+
     def test_determinism(self, reference_rows):
         first = reproduce_table(reference_rows)
         second = reproduce_table(reference_rows)
@@ -275,6 +286,19 @@ class TestSharedPricing:
         assert_priced_alike(reference_rows)
         assert_priced_alike(reference_rows, physcost.get_preset(
             "qubit_gate_ns_e4"), CodeParams(), EstimationConfig())
+
+    def test_benchmark_sweep_matches(self, reference_rows):
+        # the table-sweep traffic: four qubit sets x log-spaced budgets
+        qubit_sets = [physcost.get_preset("qubit_gate_ns_e4"),
+                      QubitParams("ns_e3", 50e-9, 100e-9, 1e-3, 1e-3),
+                      QubitParams("us_e4", 100e-6, 100e-6, 1e-4, 1e-4),
+                      QubitParams("us_e6", 100e-6, 100e-6, 1e-6, 1e-6)]
+        lo, hi = math.log(1e-4), math.log(0.3)
+        for qp in qubit_sets:
+            for i in range(50):
+                budget = math.exp(lo + i * (hi - lo) / 49)
+                assert_priced_alike(reference_rows, qp, CodeParams(),
+                                    EstimationConfig(error_budget=budget))
 
     def test_above_threshold_raises_every_call(self):
         # the model keeps no ladder, never the error
