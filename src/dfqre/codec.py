@@ -20,6 +20,7 @@ and only a result past the float range gets here.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import itertools
@@ -142,25 +143,29 @@ def decode(cls, data, where: str, error=ParseError):
 
 
 def loads(cls, text: str, where: str, error=ParseError):
-    """``decode`` of JSON ``text``; non-JSON text is always a ParseError."""
+    """``decode`` of JSON ``text``; non-JSON text, or JSON nested past the
+    reader's recursion limit, is always a ParseError."""
     with reading(where):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{where} is not JSON: {exc.msg}",
                              line=exc.lineno) from None
+        except RecursionError:
+            raise ParseError(f"{where} is nested too deeply to read") from None
         return decode(cls, data, where, error)
 
 
 @contextlib.contextmanager
 def reading(what: str):
     """Report a missing key or a malformed value met while reading
-    ``what`` as a ParseError naming it."""
+    ``what``, a CSV cell past the csv module's field limit among them, as a
+    ParseError naming it."""
     try:
         yield
     except KeyError as exc:
         raise ParseError(f"{what} lacks key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, csv.Error) as exc:
         raise ParseError(f"{what} is malformed: {exc}") from None
 
 

@@ -91,13 +91,13 @@ def exact_integer(text: str, what: str) -> int:
     """``text`` as an exact int: an integer literal, or a float literal of
     integral value (``4.00e10``). A fractional or non-finite number raises
     ValidationError naming ``what``; text that is no number, ValueError."""
-    value = float(text)  # inf for an integer past the float range too
+    try:
+        return int(text)  # exact, past the float range too
+    except ValueError:  # a float literal such as 4.00e10, or no number
+        value = float(text)
     if not value.is_integer():  # also false for nan and infinities
         raise ValidationError(f"{what} must be an integer, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # a float literal such as 4.00e10
-        return int(value)
+    return int(value)
 
 
 class RowComparison(NamedTuple):

@@ -290,8 +290,10 @@ def test_tcount_parsed_exactly(capsys):
     assert strict_json(capsys.readouterr().out)["cycles"] == 117 * 10**12
 
 
+# an integer literal past the float range is read exactly (it saturates
+# the distance search instead); a float literal past it is inf
 @pytest.mark.parametrize("tcount", ["nan", "inf", "-inf", "1.5", "abc", "",
-                                    "1" + "0" * 400])
+                                    "1e400"])
 def test_tcount_rejects_non_integers(tcount, capsys):
     assert main(["estimate-physical", "--qubits", "10",
                  f"--tcount={tcount}"]) == 1
@@ -846,17 +848,22 @@ def test_table_t_count_read_exactly(tmp_path, capsys):
     assert out.read_text().splitlines()[1].split(",")[3] == str(2**53 + 1)
 
 
+@pytest.mark.parametrize("count", ["1e308", "1" + "0" * 400],
+                         ids=["1e308", "401-digit-integer"])
 @pytest.mark.parametrize("argv", [
-    ["estimate-physical", "--qubits", "10", "--tcount", "1e308"],
+    ["estimate-physical", "--qubits", "10", "--tcount", "COUNT"],
     ["reproduce-table", "TABLE"],
 ])
-def test_t_count_past_float_range_reports_saturation(tmp_path, capsys, argv):
-    # layout tiles * 1e308 is past the float range (OverflowError before);
-    # the table names the failing row, here the second
+def test_t_count_past_float_range_reports_saturation(tmp_path, capsys, argv,
+                                                     count):
+    # layout tiles * 1e308 is past the float range (OverflowError before),
+    # and an integer literal past it is read exactly, not as inf; the table
+    # names the failing row, here the second
     path = tmp_path / "table.csv"
     path.write_text(TABLE_HEADER + TABLE_ROW + TABLE_ROW.replace(
-        "4.00e10", "1e308").replace("sto-3g", "6-31g"))
-    assert main([str(path) if arg == "TABLE" else arg for arg in argv]) == 1
+        "4.00e10", count).replace("sto-3g", "6-31g"))
+    assert main([{"TABLE": str(path), "COUNT": count}.get(arg, arg)
+                 for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = strict_json(captured.err)
@@ -918,6 +925,11 @@ def test_estimate_physical_edge_categories(tmp_path, capsys, config, tcount,
     (TABLE_HEADER + TABLE_ROW.replace(",15,2.40e5", ",3,15,2.40e5"),
      "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace(",2.31e5", ""), "reproduce-table"),
+    # a cell past the csv module's field limit of 131072 characters
+    pytest.param("n_orb,t_count\n" + "1" * 200000 + ",1e5\n100,1e10\n",
+                 "fit-scaling", id="fit-scaling-field-limit"),
+    pytest.param(TABLE_HEADER + "x" * 200000 + TABLE_ROW[1:],
+                 "reproduce-table", id="reproduce-table-field-limit"),
 ])
 def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     path = tmp_path / "bad.csv"
@@ -930,6 +942,24 @@ def test_bad_csv_input_reports_category(tmp_path, capsys, text, command):
     # a row of another width than the header is named by its data row
     if len({line.count(",") for line in text.splitlines()}) > 1:
         assert f"{path} row 1 has" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-logical", "{}"],
+    ["estimate-physical", "--from-logical", "{}"],
+    ["fmo-assemble", "{}"],
+    ["--config", "{}", "reproduce-table"],
+], ids=["decomposition", "logical", "ledger", "config"])
+def test_json_nested_past_recursion_limit_reports_parse(tmp_path, capsys, argv):
+    # json's reader takes one recursion level per array level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main([str(path) if arg == "{}" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "decomposition JSON" if "estimate-logical" in argv else str(path)
+    assert strict_json(captured.err) == {
+        "error": "parse", "message": f"{where} is nested too deeply to read"}
 
 
 @pytest.mark.parametrize("text", ["", TABLE_HEADER, "# a\n# b\n"],
@@ -956,8 +986,7 @@ def test_table_without_rows_reports_empty_input(tmp_path, capsys, text):
     (TABLE_HEADER + TABLE_ROW.replace("2.40e5", "-inf"), "reproduce-table"),
     (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "40000000000.7"),
      "reproduce-table"),
-    (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "1" + "0" * 400),
-     "reproduce-table"),
+    (TABLE_HEADER + TABLE_ROW.replace("4.00e10", "1e400"), "reproduce-table"),
 ])
 def test_bad_csv_value_reports_invalid_input(tmp_path, capsys, text, command):
     path = tmp_path / "bad.csv"

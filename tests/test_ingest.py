@@ -605,6 +605,40 @@ class TestBlockParserEquivalence:
         monkeypatch.setattr(ingest, "_read_lines", refuse)
         assert [_outcome(parse_integrals, text) for text in texts] == expected
 
+    def test_every_class_as_random_images(self, monkeypatch):
+        # all 253 classes of n_orb = 6, past integral_texts' n_orb <= 3: each
+        # written 1-3 times as random ones of its images, values within
+        # DUPLICATE_TOL, records shuffled; read by the C reader alone
+        pairs = [(i, j) for i in range(1, 7) for j in range(1, i + 1)]
+        classes = [*(p + (0, 0) for p in pairs),
+                   *(a + b for x, a in enumerate(pairs) for b in pairs[:x + 1])]
+        texts = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            records = []
+            for key in classes:
+                value = float(rng.standard_normal())
+                images = _images(*key) if key[2] else [key, (key[1], key[0], 0, 0)]
+                for _ in range(rng.integers(1, 4)):
+                    i, j, k, l = images[rng.integers(len(images))]
+                    jittered = value + float(rng.choice([0.0, 4e-11]))
+                    records.append(f"{jittered!r} {i} {j} {k} {l}")
+            lines = list(rng.permutation(records))
+            # the core energy drifts copy by copy: each is checked against
+            # the latest, so its third copy may be past DUPLICATE_TOL of its first
+            core = float(rng.standard_normal())
+            at = np.sort(rng.integers(0, len(lines) + 1, rng.integers(1, 4)))
+            for copy, where in enumerate(at):
+                lines.insert(where + copy, f"{core + 8e-11 * copy!r} 0 0 0 0")
+            texts.append("\n".join(["NORB 6", *lines]))
+        expected = [_outcome(reference_parse_integrals, text) for text in texts]
+        assert {outcome[0] for outcome in expected} == {6}  # all valid
+
+        def refuse(*args):
+            raise AssertionError("a valid file was read line by line")
+        monkeypatch.setattr(ingest, "_read_lines", refuse)
+        assert [_outcome(parse_integrals, text) for text in texts] == expected
+
     def test_serialized_files_bit_identical(self):
         for seed in range(3):
             ints = gen_synthetic(SyntheticSpec(n_orb=4, rank=6, seed=seed))
